@@ -38,6 +38,13 @@ def context(config):
     return get_context(config)
 
 
+def read_dir(directory) -> list[tuple[str, str]]:
+    """Every ``*.c`` file under ``directory`` as sorted ``(name, source)``
+    pairs — the corpus ``repro suggest-dir`` reads."""
+    return [(str(p), p.read_text())
+            for p in sorted(Path(directory).rglob("*.c"))]
+
+
 def run_once(benchmark, fn, *args, **kwargs):
     """Benchmark an expensive experiment with a single measured round."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,

@@ -97,7 +97,7 @@ def _fabric_vs_local(context, tmp_path) -> dict:
 
     golden = _renders(
         build_service(SuggesterBundle.load(archive),
-                      ServeConfig()).suggest_sources(named))
+                      ServeConfig()).stream_sources(named))
 
     # three daemons so each topology serves the corpus cold: one for
     # the single-peer run, a disjoint pair for the two-peer run
@@ -124,12 +124,12 @@ def _fabric_vs_local(context, tmp_path) -> dict:
         cold_service = build_service(SuggesterBundle.load(archive),
                                      ServeConfig(), cache_dir=net)
         start = time.perf_counter()
-        cold_results = cold_service.suggest_sources(named)
+        cold_results = list(cold_service.stream_sources(named))
         cold_s = time.perf_counter() - start
         warm_service = build_service(SuggesterBundle.load(archive),
                                      ServeConfig(), cache_dir=net)
         start = time.perf_counter()
-        warm_results = warm_service.suggest_sources(named)
+        warm_results = list(warm_service.stream_sources(named))
         warm_s = time.perf_counter() - start
         warm_forwards = sum(
             warm_service.cache_stats()["forwards"].values())

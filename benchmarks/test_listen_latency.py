@@ -46,7 +46,8 @@ def _listen_latency(context, tmp_path) -> dict:
     for path in paths:
         service = build_service(context, serve_config)
         start = time.perf_counter()
-        cold = service.suggest_paths([path])
+        cold = list(service.stream_sources([(str(path),
+                                             path.read_text())]))
         cold_samples_s.append(time.perf_counter() - start)
     cold_payloads = [fs.to_payload() for fs in cold]
 
@@ -55,14 +56,15 @@ def _listen_latency(context, tmp_path) -> dict:
     with SuggestServer({"default": service}).start() as server:
         with connect(server.address) as client:
             # first pass warms the store through the daemon
-            client.suggest_paths(paths)
+            client.suggest_sources([(str(p), p.read_text()) for p in paths])
             forwards_before = service.cache_stats()["forwards"]["graphs"]
 
             warm_samples_s = []
             for _ in range(ROUNDS):
                 for path in paths:
                     start = time.perf_counter()
-                    warm = client.suggest_paths([path])
+                    warm = client.suggest_sources(
+                        [(str(path), path.read_text())])
                     warm_samples_s.append(time.perf_counter() - start)
             forwards_after = service.cache_stats()["forwards"]["graphs"]
     warm_payloads = [fs.to_payload() for fs in warm]

@@ -26,7 +26,7 @@ from conftest import run_once, write_bench_artifact
 
 from repro.cfront import parse_source, unparse
 from repro.dataset.corpus import CorpusGenerator
-from repro.serve import ServeConfig, build_service
+from repro.serve import REWRITE, Job, ServeConfig, build_service
 
 #: verified pass may cost at most this many × the unverified floor
 #: (tight on purpose: the compiled executor + trace elision + shared
@@ -45,18 +45,18 @@ def _measure(context) -> dict:
     named = _corpus()
     service = build_service(context, ServeConfig(workers=1,
                                                  batch_size=512))
-    service.suggest_sources(named)          # warm the suggestion store
+    list(service.stream_sources(named))          # warm the suggestion store
 
     # best-of-2 per side: single samples are too noisy for a ratio
     unverified_s = verified_s = float("inf")
     for _ in range(2):
         start = time.perf_counter()
-        service.rewrite_sources(named, verify=False)
+        list(service.stream_sources(named, job=Job("rewrite", verify=False)))
         unverified_s = min(unverified_s, time.perf_counter() - start)
     results = None
     for _ in range(2):
         start = time.perf_counter()
-        results = service.rewrite_sources(named, verify=True)
+        results = list(service.stream_sources(named, job=REWRITE))
         verified_s = min(verified_s, time.perf_counter() - start)
 
     rewrites = [r for fr in results for r in fr.rewrites]

@@ -70,7 +70,7 @@ def _compare_paths(context) -> dict:
     # end-to-end (includes the file-parse stage), for the trajectory
     e2e_service = build_service(context, config)
     start = time.perf_counter()
-    served = e2e_service.suggest_sources(named)
+    served = list(e2e_service.stream_sources(named))
     e2e_s = time.perf_counter() - start
 
     flat_served = [s for fs in served for s in fs.suggestions]

@@ -1,6 +1,6 @@
 """Bench: end-to-end corpus sharding + streaming vs the batch path.
 
-``stream_dir(shards=N)`` runs the whole parse → encode → forward →
+``stream_sources(shards=N)`` runs the whole parse → encode → forward →
 fan-out pipeline inside N worker processes and streams per-file results
 back as they complete.  Two claims are measured on a synthetic corpus:
 
@@ -21,7 +21,7 @@ workers cannot beat the batch path without a second core), but the
 import os
 import time
 
-from conftest import run_once, write_bench_artifact
+from conftest import read_dir, run_once, write_bench_artifact
 
 from repro.dataset.corpus import CorpusGenerator
 from repro.serve import ServeConfig, build_service
@@ -59,7 +59,7 @@ def _shard_vs_batch(context, tmp_path) -> dict:
     for _ in range(2):
         service = build_service(context, serve_config)
         start = time.perf_counter()
-        results = service.suggest_dir(corpus)
+        results = list(service.stream_sources(read_dir(corpus)))
         elapsed = time.perf_counter() - start
         if elapsed < batch_s:
             batch_s, batch_results = elapsed, results
@@ -69,8 +69,8 @@ def _shard_vs_batch(context, tmp_path) -> dict:
         service = build_service(context, serve_config)
         start = time.perf_counter()
         results, first = [], None
-        for fs in service.stream_dir(corpus, ordered=False,
-                                     shards=SHARDS):
+        for fs in service.stream_sources(read_dir(corpus), ordered=False,
+                                         shards=SHARDS):
             if first is None:
                 first = time.perf_counter() - start
             results.append(fs)

@@ -27,7 +27,7 @@ from repro.cfront import parse_source
 from repro.dataset.corpus import CorpusGenerator
 from repro.dataset.extract import _outermost_loops
 from repro.rewrite import PlanError, VerifyConfig, plan_clauses, verify_loop
-from repro.serve import ServeConfig, build_service
+from repro.serve import REWRITE, ServeConfig, build_service
 
 #: compiled execution must beat the tree-walker by at least this factor
 MIN_SPEEDUP = 3.0
@@ -82,11 +82,11 @@ def _measure(context, cache_dir) -> dict:
     # replay every verdict instead of simulating
     cold = build_service(context, ServeConfig(workers=1, batch_size=512),
                          cache_dir=cache_dir)
-    cold.rewrite_sources(named, verify=True)
+    list(cold.stream_sources(named, job=REWRITE))
     cold_stats = cold.cache_stats()["verify"]
     warm = build_service(context, ServeConfig(workers=1, batch_size=512),
                          cache_dir=cache_dir)
-    warm.rewrite_sources(named, verify=True)
+    list(warm.stream_sources(named, job=REWRITE))
     warm_stats = warm.cache_stats()["verify"]
 
     return {

@@ -1,4 +1,4 @@
-"""Bench: cold vs warm ``suggest_dir`` through the persistent store.
+"""Bench: cold vs warm suggesting through the persistent store.
 
 A cold run pays the full pipeline per file — pure-python parse, graph
 build, encode, batched forwards.  A warm run over an unchanged corpus
@@ -14,7 +14,7 @@ Results land in ``BENCH_warm_cache.json`` for the CI perf trajectory.
 
 import time
 
-from conftest import run_once, write_bench_artifact
+from conftest import read_dir, run_once, write_bench_artifact
 
 from repro.dataset.corpus import CorpusGenerator
 from repro.serve import ServeConfig, build_service
@@ -42,7 +42,7 @@ def _cold_vs_warm(context, tmp_path) -> dict:
     cold_service = build_service(context, serve_config,
                                  cache_dir=cache_dir)
     start = time.perf_counter()
-    cold_results = cold_service.suggest_dir(corpus)
+    cold_results = list(cold_service.stream_sources(read_dir(corpus)))
     cold_s = time.perf_counter() - start
     cold_stats = cold_service.cache_stats()
 
@@ -52,7 +52,7 @@ def _cold_vs_warm(context, tmp_path) -> dict:
         warm_service = build_service(context, serve_config,
                                      cache_dir=cache_dir)
         start = time.perf_counter()
-        results = warm_service.suggest_dir(corpus)
+        results = list(warm_service.stream_sources(read_dir(corpus)))
         elapsed = time.perf_counter() - start
         if elapsed < warm_s:
             warm_s, warm_results = elapsed, results
@@ -69,7 +69,7 @@ def _cold_vs_warm(context, tmp_path) -> dict:
     edited.write_text(edited.read_text() + "\n/* edited */\n")
     edit_service = build_service(context, serve_config,
                                  cache_dir=cache_dir)
-    edit_service.suggest_dir(corpus)
+    list(edit_service.stream_sources(read_dir(corpus)))
     edit_stats = edit_service.cache_stats()
 
     n_loops = sum(len(fs.suggestions) for fs in cold_results)

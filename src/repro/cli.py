@@ -51,6 +51,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 
 def dataset_main(argv: list[str] | None = None) -> int:
@@ -296,57 +297,296 @@ def _provision_fabric(peers: tuple[str, ...],
     return tuple(bundle_ref for _ in peers)
 
 
-def _read_corpus(paths) -> list[tuple[str, str]] | None:
-    """``(name, source)`` pairs for the fabric path, or ``None``.
+def _read_corpus(directory, pattern: str) -> list[tuple[str, str]] | None:
+    """Every ``pattern`` file under ``directory`` as sorted ``(name,
+    source)`` pairs, or ``None`` (after printing why) when one cannot be
+    read.
 
-    Remote peers cannot read the coordinator's filesystem, so the
-    corpus travels inline — same contents the in-process pipeline
-    would read, keeping results byte-identical.
+    Every backend serves these same contents — the in-process pipeline,
+    a daemon (inline over the wire) and fabric peers (which cannot read
+    this filesystem) — which keeps their results byte-identical.
     """
+    from pathlib import Path
+
     named = []
-    for path in paths:
+    for path in sorted(Path(directory).rglob(pattern)):
         try:
             named.append((str(path), path.read_text(encoding="utf-8")))
         except (OSError, UnicodeDecodeError) as exc:
-            print(f"fabric: cannot read {path}: {exc}", file=sys.stderr)
+            print(f"cannot read {path}: {exc}", file=sys.stderr)
             return None
     return named
 
 
-def suggest_dir_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro suggest-dir",
-        description="Suggest complete OpenMP pragmas for every loop of "
-                    "every C file under a directory (batched serving).",
-    )
+def _connect_server(args, job):
+    """A handshaken client for ``--server``, or ``None`` (after printing
+    why) when the daemon is unreachable or cannot serve ``job``."""
+    from repro.client import ClientError, RetryPolicy, connect
+
+    ignored = [
+        flag for flag, value, default in (
+            ("--workers", args.workers, 1),
+            ("--batch-size", args.batch_size, 256),
+            ("--cache-dir", args.cache_dir, None),
+            ("--scale", args.scale, 0.02),
+            ("--seed", args.seed, 7),
+            ("--epochs", args.epochs, 4),
+            ("--dim", args.dim, 32),
+        ) if value != default
+    ]
+    if ignored:
+        print(f"note: {', '.join(ignored)} are ignored with "
+              f"--server — the daemon's own models and config "
+              f"serve the request", file=sys.stderr)
+    try:
+        # a default RetryPolicy: a busy or restarting daemon is
+        # retried with backoff instead of failing the whole run
+        client = connect(args.server, retry=RetryPolicy(),
+                         deadline_s=args.deadline)
+    except (ClientError, OSError) as exc:
+        print(f"cannot reach server {args.server}: {exc}",
+              file=sys.stderr)
+        return None
+    if not job.served_by(client.capabilities):
+        problem = f"does not support {job.mode} requests (older daemon?)"
+    elif args.bundle and args.bundle not in client.bundles():
+        problem = (f"does not serve bundle {args.bundle!r} "
+                   f"(available: {client.bundles()})")
+    else:
+        return client
+    print(f"server at {args.server} {problem}", file=sys.stderr)
+    client.close()
+    return None
+
+
+def _local_service(args):
+    """The in-process service over a loaded ``--bundle`` or on-the-fly
+    models, or ``None`` (after printing why) for a bad bundle."""
+    from repro.serve import ServeConfig, build_service
+
+    serve_config = ServeConfig(
+        workers=args.workers, batch_size=args.batch_size,
+        shards=args.shards if args.shards is not None else 1)
+    if args.bundle:
+        from repro.artifacts import ArtifactError, SuggesterBundle
+
+        try:
+            source = SuggesterBundle.load(args.bundle)
+        except ArtifactError as exc:
+            print(f"cannot load bundle: {exc}", file=sys.stderr)
+            return None
+        print(f"loaded {source.describe()}",
+              file=sys.stderr if args.stream else sys.stdout)
+    else:
+        from repro.eval.config import ExperimentConfig
+        from repro.eval.context import get_context
+
+        source = get_context(ExperimentConfig(
+            scale=args.scale, seed=args.seed, epochs=args.epochs,
+            dim=args.dim,
+        ))
+    return build_service(source, serve_config, cache_dir=args.cache_dir)
+
+
+class _SuggestDir:
+    """``repro suggest-dir``: one suggestion record per file."""
+
+    mode = "suggest"
+    prog = "repro suggest-dir"
+    description = ("Suggest complete OpenMP pragmas for every loop of "
+                   "every C file under a directory (batched serving).")
+    #: flags only this command has, placed right after --pattern
+    flags: tuple = ()
+    help = {
+        "server": "serve through a running `repro serve` daemon at "
+                  "HOST:PORT or unix:/path.sock instead of building "
+                  "models in-process; file contents travel over the "
+                  "wire, results are byte-identical",
+        "peers": "comma-separated addresses of running daemons: fan "
+                 "the corpus out across them as remote shards (one "
+                 "per peer); a peer lost mid-run requeues onto the "
+                 "rest; requires --bundle (a local bundle path is "
+                 "pushed content-addressed, at most once per peer; a "
+                 "bare name must already be served by every peer); "
+                 "mutually exclusive with --server",
+        "shards": "end-to-end corpus shards: the whole parse/encode/"
+                  "forward pipeline runs in N worker processes (1 = "
+                  "in-process, 'auto' picks a count from corpus size "
+                  "and CPUs; with --server, overrides the daemon's "
+                  "per-request fan-out)",
+        "bundle": "serve a trained bundle saved by `repro train "
+                  "--bundle-out` (zero training steps); default trains "
+                  "fast-profile models on the fly; with --server, the "
+                  "*name* of a bundle the daemon serves",
+        "cache_dir": "persistent suggestion cache: warm runs over "
+                     "unchanged files skip parsing and inference "
+                     "(ignored with --server: the daemon owns the "
+                     "cache)",
+        "out": "write suggestions to this JSON file",
+    }
+    #: "<failing> failed: ..." when serving breaks mid-run
+    failing = "serving"
+    #: "<written> written to OUT"
+    written = "suggestions"
+    #: the summary's counts after "N loops across M files"
+    summary = ""
+
+    @staticmethod
+    def record(r) -> dict:
+        return {"file": r.name, "error": r.error,
+                "suggestions": [s.to_dict() for s in r.suggestions]}
+
+    @staticmethod
+    def loops(r) -> int:
+        return len(r.suggestions)
+
+    @staticmethod
+    def tally(results) -> dict:
+        return {}
+
+    @staticmethod
+    def lines(r, quiet: bool) -> list[str]:
+        lines = [f"{r.name}: {len(r.suggestions)} loops, "
+                 f"{r.n_parallel} parallelizable"]
+        if not quiet:
+            lines += ["  " + (s.pragma if s.parallel
+                              else f"// sequential: {s.rationale}")
+                      for s in r.suggestions]
+        return lines
+
+    @staticmethod
+    def done_stats(service) -> dict:
+        return {}
+
+    @staticmethod
+    def footer(args, service) -> str | None:
+        if not args.cache_dir or service is None:
+            return None
+        stats = service.cache_stats()
+        store, forwards = stats["store"], stats["forwards"]
+        return (f"cache: {store['suggest_hits']} files warm, "
+                f"{store['suggest_misses']} computed "
+                f"({forwards['graphs']} graph forwards)")
+
+
+class _RewriteDir:
+    """``repro rewrite-dir``: one verified rewrite record per file."""
+
+    mode = "rewrite"
+    prog = "repro rewrite-dir"
+    description = ("Apply suggested OpenMP pragmas as verified "
+                   "source-to-source rewrites for every C file under "
+                   "a directory. Each accepted loop gets its complete "
+                   "clause list; every transform is gated by "
+                   "differential execution (sequential vs simulated-"
+                   "parallel) and refused with a stable reason code "
+                   "on divergence.")
+    flags = (("--verify", dict(
+        action=argparse.BooleanOptionalAction, default=True,
+        help="gate every rewrite on the interpreter verifier "
+             "(default: on; --no-verify accepts analyzable loops "
+             "unchecked, reported with code 'unverified')")),)
+    help = {
+        "server": "rewrite through a running `repro serve` daemon at "
+                  "HOST:PORT or unix:/path.sock instead of building "
+                  "models in-process; results are byte-identical",
+        "peers": "comma-separated addresses of running daemons: fan "
+                 "the corpus out across them as remote shards (one "
+                 "per peer); a peer lost mid-run requeues onto the "
+                 "rest; requires --bundle; mutually exclusive with "
+                 "--server",
+        "shards": "end-to-end corpus shards for the suggestion stage "
+                  "(1 = in-process, 'auto' picks a count; with "
+                  "--server, overrides the daemon's per-request "
+                  "fan-out)",
+        "bundle": "serve a trained bundle saved by `repro train "
+                  "--bundle-out`; default trains fast-profile models "
+                  "on the fly; with --server, the *name* of a bundle "
+                  "the daemon serves",
+        "cache_dir": "persistent cache shared with suggest-dir: warm "
+                     "runs skip parsing and inference for the "
+                     "suggestion stage and replay stored verdicts "
+                     "instead of re-simulating loops (ignored with "
+                     "--server)",
+        "out": "write rewrite results (including the full rewritten "
+               "sources) to this JSON file",
+    }
+    failing = "rewriting"
+    written = "rewrites"
+    summary = ": {accepted} rewritten, {refused} refused"
+
+    @staticmethod
+    def record(r) -> dict:
+        return {"file": r.name, "error": r.error,
+                "rewrites": [rw.to_dict() for rw in r.rewrites],
+                "rewritten_source": r.rewritten_source}
+
+    @staticmethod
+    def loops(r) -> int:
+        return len(r.rewrites)
+
+    @staticmethod
+    def tally(results) -> dict:
+        return {"accepted": sum(r.n_accepted for r in results),
+                "refused": sum(r.n_refused for r in results)}
+
+    @staticmethod
+    def lines(r, quiet: bool) -> list[str]:
+        lines = [f"{r.name}: {len(r.rewrites)} loops, "
+                 f"{r.n_accepted} rewritten, {r.n_refused} refused"]
+        if not quiet:
+            for rw in r.rewrites:
+                if rw.accepted:
+                    lines.append(f"  [{rw.code}] {rw.pragma}")
+                else:
+                    lines.append(f"  [{rw.code}] {rw.detail}"
+                                 if rw.detail else f"  [{rw.code}]")
+        return lines
+
+    @staticmethod
+    def done_stats(service) -> dict:
+        # verifier counters (in-process only: the daemon keeps its
+        # own); "simulations": 0 is the warm-cache contract
+        if service is None:
+            return {}
+        verifier = service.cache_stats()["verify"]
+        return {"verifier": verifier,
+                "simulations": verifier["simulations"]}
+
+    @staticmethod
+    def footer(args, service) -> str | None:
+        if service is None or not args.verify:
+            return None
+        v = service.cache_stats()["verify"]
+        return (f"verifier: {v['simulations']} simulations "
+                f"({v['compiled_runs']} compiled, "
+                f"{v['interpreted_runs']} interpreted runs, "
+                f"{v['cached_verdicts']} cached verdicts) in "
+                f"{v['elapsed_s']:.2f}s")
+
+
+def dir_main(command, argv: list[str] | None = None) -> int:
+    """``repro suggest-dir`` / ``repro rewrite-dir``: read the corpus
+    once, build the job, serve it through one backend — in-process,
+    ``--server`` or ``--peers`` — and report.  ``command``
+    (:class:`_SuggestDir` or :class:`_RewriteDir`) supplies what
+    differs: help texts, the record shape, per-file lines, done-record
+    fields and summary lines."""
+    parser = argparse.ArgumentParser(prog=command.prog,
+                                     description=command.description)
     parser.add_argument("directory", help="directory of C files")
     parser.add_argument("--pattern", default="*.c",
                         help="glob for source files (default: *.c)")
+    for flag, options in command.flags:
+        parser.add_argument(flag, **options)
     parser.add_argument("--server", default=None, metavar="ADDR",
-                        help="serve through a running `repro serve` "
-                             "daemon at HOST:PORT or unix:/path.sock "
-                             "instead of building models in-process; "
-                             "file contents travel over the wire, "
-                             "results are byte-identical")
+                        help=command.help["server"])
     parser.add_argument("--peers", default=None, metavar="A,B",
-                        help="comma-separated addresses of running "
-                             "daemons: fan the corpus out across them "
-                             "as remote shards (one per peer); a peer "
-                             "lost mid-run requeues onto the rest; "
-                             "requires --bundle (a local bundle path "
-                             "is pushed content-addressed, at most "
-                             "once per peer; a bare name must already "
-                             "be served by every peer); mutually "
-                             "exclusive with --server")
+                        help=command.help["peers"])
     parser.add_argument("--workers", type=int, default=1,
                         help="parse-stage worker processes (1 = in-process)")
     parser.add_argument("--shards", type=_shards_arg, default=None,
-                        help="end-to-end corpus shards: the whole parse/"
-                             "encode/forward pipeline runs in N worker "
-                             "processes (1 = in-process, 'auto' picks a "
-                             "count from corpus size and CPUs; with "
-                             "--server, overrides the daemon's per-"
-                             "request fan-out)")
+                        help=command.help["shards"])
     parser.add_argument("--stream", action="store_true",
                         help="emit one NDJSON record per file on stdout "
                              "as results complete, then a final "
@@ -356,23 +596,15 @@ def suggest_dir_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--batch-size", type=int, default=256,
                         help="graphs per forward pass")
     parser.add_argument("--bundle", default=None,
-                        help="serve a trained bundle saved by "
-                             "`repro train --bundle-out` (zero training "
-                             "steps); default trains fast-profile models "
-                             "on the fly; with --server, the *name* of a "
-                             "bundle the daemon serves")
+                        help=command.help["bundle"])
     parser.add_argument("--cache-dir", default=None,
-                        help="persistent suggestion cache: warm runs over "
-                             "unchanged files skip parsing and inference "
-                             "(ignored with --server: the daemon owns "
-                             "the cache)")
+                        help=command.help["cache_dir"])
     parser.add_argument("--scale", type=float, default=0.02,
                         help="training-set scale for the on-the-fly models")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--epochs", type=int, default=4)
     parser.add_argument("--dim", type=int, default=32)
-    parser.add_argument("--out", default=None,
-                        help="write suggestions to this JSON file")
+    parser.add_argument("--out", default=None, help=command.help["out"])
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-loop output")
     parser.add_argument("--deadline", type=float, default=None,
@@ -386,150 +618,83 @@ def suggest_dir_main(argv: list[str] | None = None) -> int:
                              "JSON or a file of it) in this process "
                              "and its shard workers — chaos testing "
                              "only")
+    parser.set_defaults(verify=True)
     args = parser.parse_args(argv)
 
-    from pathlib import Path
-
-    from repro.serve import ServeError
+    from repro.serve import Job, ServeError
 
     if not _arm_faults(args.faults):
         return 2
-    client = None
-    service = None
     peers = _parse_peers(args.peers)
-    peer_bundles: tuple[str, ...] = ()
+    if peers and args.server:
+        print("--peers and --server are mutually exclusive",
+              file=sys.stderr)
+        return 2
+    if peers and not args.bundle:
+        print("--peers requires --bundle: the advisor every peer "
+              "serves (a local bundle path, or a name they "
+              "already serve)", file=sys.stderr)
+        return 2
+    named = _read_corpus(args.directory, args.pattern)
+    if named is None:
+        return 2
+    job = Job(command.mode, verify=args.verify)
+    client = service = None
     if peers:
-        if args.server:
-            print("--peers and --server are mutually exclusive",
-                  file=sys.stderr)
+        peer_bundles = _provision_fabric(peers, args.bundle)
+        if peer_bundles is None:
             return 2
-        if not args.bundle:
-            print("--peers requires --bundle: the advisor every peer "
-                  "serves (a local bundle path, or a name they "
-                  "already serve)", file=sys.stderr)
-            return 2
-        provisioned = _provision_fabric(peers, args.bundle)
-        if provisioned is None:
-            return 2
-        peer_bundles = provisioned
     elif args.server:
-        from repro.client import ClientError, RetryPolicy, connect
-
-        ignored = [
-            flag for flag, value, default in (
-                ("--workers", args.workers, 1),
-                ("--batch-size", args.batch_size, 256),
-                ("--cache-dir", args.cache_dir, None),
-                ("--scale", args.scale, 0.02),
-                ("--seed", args.seed, 7),
-                ("--epochs", args.epochs, 4),
-                ("--dim", args.dim, 32),
-            ) if value != default
-        ]
-        if ignored:
-            print(f"note: {', '.join(ignored)} are ignored with "
-                  f"--server — the daemon's own models and config "
-                  f"serve the request", file=sys.stderr)
-        try:
-            # a default RetryPolicy: a busy or restarting daemon is
-            # retried with backoff instead of failing the whole run
-            client = connect(args.server, retry=RetryPolicy(),
-                             deadline_s=args.deadline)
-        except (ClientError, OSError) as exc:
-            print(f"cannot reach server {args.server}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if args.bundle and args.bundle not in client.bundles():
-            print(f"server at {args.server} does not serve bundle "
-                  f"{args.bundle!r} (available: {client.bundles()})",
-                  file=sys.stderr)
-            client.close()
+        client = _connect_server(args, job)
+        if client is None:
             return 2
     else:
-        from repro.serve import ServeConfig, build_service
-
-        serve_config = ServeConfig(
-            workers=args.workers, batch_size=args.batch_size,
-            shards=args.shards if args.shards is not None else 1)
-        if args.bundle:
-            from repro.artifacts import ArtifactError, SuggesterBundle
-
-            try:
-                bundle = SuggesterBundle.load(args.bundle)
-            except ArtifactError as exc:
-                print(f"cannot load bundle: {exc}", file=sys.stderr)
-                return 2
-            print(f"loaded {bundle.describe()}",
-                  file=sys.stderr if args.stream else sys.stdout)
-            service = build_service(bundle, serve_config,
-                                    cache_dir=args.cache_dir)
-        else:
-            from repro.eval.config import ExperimentConfig
-            from repro.eval.context import get_context
-
-            ctx = get_context(ExperimentConfig(
-                scale=args.scale, seed=args.seed, epochs=args.epochs,
-                dim=args.dim,
-            ))
-            service = build_service(ctx, serve_config,
-                                    cache_dir=args.cache_dir)
-
-    paths = sorted(Path(args.directory).rglob(args.pattern))
-    named = None
-    if peers:
-        named = _read_corpus(paths)
-        if named is None:
+        service = _local_service(args)
+        if service is None:
             return 2
+
     summary_out = sys.stderr if args.stream else sys.stdout
     start = time.perf_counter()
     try:
-        if args.stream:
-            # as-completed: the first finished file prints long before
-            # the last shard completes; stdout carries pure NDJSON,
-            # closed by one {"event": "done", ...} summary record so
-            # consumers can tell a clean end from a dropped pipe
-            results = []
-            if peers:
-                from repro.fabric import stream_fabric
+        # --stream takes results as they complete: the first finished
+        # file prints long before the last shard completes
+        if peers:
+            from repro.fabric import stream_fabric
 
-                stream = stream_fabric(peers, named, mode="suggest",
-                                       peer_bundles=peer_bundles,
-                                       ordered=False)
-            elif client is not None:
-                stream = client.stream_paths(paths, bundle=args.bundle,
-                                             ordered=False,
-                                             shards=args.shards)
-            else:
-                stream = service.stream_paths(paths, ordered=False)
-            for r in stream:
-                _ndjson_record(_structured_error(r.name, r.error) or {
-                    "file": r.name,
-                    "error": r.error,
-                    "suggestions": [s.to_dict() for s in r.suggestions],
-                })
-                results.append(r)
-            by_name = {r.name: r for r in results}
-            results = [by_name[str(p)] for p in paths]
+            results = stream_fabric(peers, named, job=job,
+                                    peer_bundles=peer_bundles,
+                                    ordered=not args.stream)
+        elif client is not None:
+            results = client.submit(job.request(
+                sources=tuple(named), bundle=args.bundle,
+                ordered=not args.stream, stream=args.stream,
+                shards=args.shards))
+        else:
+            results = service.stream_sources(named, job=job,
+                                             ordered=not args.stream)
+        if args.stream:
+            # stdout carries pure NDJSON, closed by one {"event":
+            # "done", ...} summary record so consumers can tell a
+            # clean end from a dropped pipe
+            by_name = {}
+            for r in results:
+                _ndjson_record(_structured_error(r.name, r.error)
+                               or command.record(r))
+                by_name[r.name] = r
+            results = [by_name[name] for name, _ in named]
             _ndjson_record({
                 "event": "done",
                 "files": len(results),
-                "loops": sum(len(r.suggestions) for r in results),
+                "loops": sum(command.loops(r) for r in results),
+                **command.tally(results),
                 "errors": sum(1 for r in results if r.error),
                 "elapsed_s": round(time.perf_counter() - start, 3),
+                **command.done_stats(service),
             })
-        elif peers:
-            from repro.fabric import stream_fabric
-
-            results = list(stream_fabric(peers, named, mode="suggest",
-                                         peer_bundles=peer_bundles,
-                                         ordered=True))
-        elif client is not None:
-            results = client.suggest_paths(paths, bundle=args.bundle,
-                                           shards=args.shards)
         else:
-            results = service.suggest_paths(paths)
+            results = list(results)
     except ServeError as exc:
-        print(f"serving failed: {exc}", file=sys.stderr)
+        print(f"{command.failing} failed: {exc}", file=sys.stderr)
         return 1
     finally:
         if client is not None:
@@ -540,329 +705,28 @@ def suggest_dir_main(argv: list[str] | None = None) -> int:
               file=summary_out)
         return 1
 
-    n_loops = sum(len(r.suggestions) for r in results)
+    n_loops = sum(command.loops(r) for r in results)
     n_errors = sum(1 for r in results if r.error)
     if not args.stream:              # per-file records already emitted
         for r in results:
             if r.error:
                 print(f"{r.name}: SKIPPED ({r.error})")
                 continue
-            print(f"{r.name}: {len(r.suggestions)} loops, "
-                  f"{r.n_parallel} parallelizable")
-            if not args.quiet:
-                for s in r.suggestions:
-                    print("  " + (s.pragma if s.parallel
-                                  else f"// sequential: {s.rationale}"))
+            for line in command.lines(r, args.quiet):
+                print(line)
     rate = n_loops / elapsed if elapsed > 0 else float("inf")
-    print(f"{n_loops} loops across {len(results)} files "
+    counts = command.summary.format(**command.tally(results))
+    print(f"{n_loops} loops across {len(results)} files{counts} "
           f"({n_errors} unparseable) in {elapsed:.2f}s "
           f"({rate:.0f} loops/s)", file=summary_out)
-    if args.cache_dir and service is not None:
-        stats = service.cache_stats()
-        store, forwards = stats["store"], stats["forwards"]
-        print(f"cache: {store['suggest_hits']} files warm, "
-              f"{store['suggest_misses']} computed "
-              f"({forwards['graphs']} graph forwards)", file=summary_out)
+    footer = command.footer(args, service)
+    if footer is not None:
+        print(footer, file=summary_out)
     if args.out:
-        payload = [
-            {
-                "file": r.name,
-                "error": r.error,
-                "suggestions": [s.to_dict() for s in r.suggestions],
-            }
-            for r in results
-        ]
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"suggestions written to {args.out}", file=summary_out)
-    return 0
-
-
-def rewrite_dir_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro rewrite-dir",
-        description="Apply suggested OpenMP pragmas as verified "
-                    "source-to-source rewrites for every C file under "
-                    "a directory. Each accepted loop gets its complete "
-                    "clause list; every transform is gated by "
-                    "differential execution (sequential vs simulated-"
-                    "parallel) and refused with a stable reason code "
-                    "on divergence.",
-    )
-    parser.add_argument("directory", help="directory of C files")
-    parser.add_argument("--pattern", default="*.c",
-                        help="glob for source files (default: *.c)")
-    parser.add_argument("--verify", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="gate every rewrite on the interpreter "
-                             "verifier (default: on; --no-verify "
-                             "accepts analyzable loops unchecked, "
-                             "reported with code 'unverified')")
-    parser.add_argument("--server", default=None, metavar="ADDR",
-                        help="rewrite through a running `repro serve` "
-                             "daemon at HOST:PORT or unix:/path.sock "
-                             "instead of building models in-process; "
-                             "results are byte-identical")
-    parser.add_argument("--peers", default=None, metavar="A,B",
-                        help="comma-separated addresses of running "
-                             "daemons: fan the corpus out across them "
-                             "as remote shards (one per peer); a peer "
-                             "lost mid-run requeues onto the rest; "
-                             "requires --bundle; mutually exclusive "
-                             "with --server")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parse-stage worker processes (1 = in-process)")
-    parser.add_argument("--shards", type=_shards_arg, default=None,
-                        help="end-to-end corpus shards for the "
-                             "suggestion stage (1 = in-process, 'auto' "
-                             "picks a count; with --server, overrides "
-                             "the daemon's per-request fan-out)")
-    parser.add_argument("--stream", action="store_true",
-                        help="emit one NDJSON record per file on stdout "
-                             "as results complete, then a final "
-                             '{"event": "done", ...} summary record '
-                             "(the human-readable summary goes to "
-                             "stderr)")
-    parser.add_argument("--batch-size", type=int, default=256,
-                        help="graphs per forward pass")
-    parser.add_argument("--bundle", default=None,
-                        help="serve a trained bundle saved by "
-                             "`repro train --bundle-out`; default trains "
-                             "fast-profile models on the fly; with "
-                             "--server, the *name* of a bundle the "
-                             "daemon serves")
-    parser.add_argument("--cache-dir", default=None,
-                        help="persistent cache shared with suggest-dir: "
-                             "warm runs skip parsing and inference for "
-                             "the suggestion stage and replay stored "
-                             "verdicts instead of re-simulating loops "
-                             "(ignored with --server)")
-    parser.add_argument("--scale", type=float, default=0.02,
-                        help="training-set scale for the on-the-fly models")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--epochs", type=int, default=4)
-    parser.add_argument("--dim", type=int, default=32)
-    parser.add_argument("--out", default=None,
-                        help="write rewrite results (including the full "
-                             "rewritten sources) to this JSON file")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-loop output")
-    parser.add_argument("--deadline", type=float, default=None,
-                        metavar="S",
-                        help="with --server: per-request deadline in "
-                             "seconds; the daemon aborts queued or "
-                             "mid-stream work past it with a "
-                             "'deadline-exceeded' error")
-    parser.add_argument("--faults", default=None, metavar="PLAN",
-                        help="arm a deterministic fault plan (inline "
-                             "JSON or a file of it) in this process "
-                             "and its shard workers — chaos testing "
-                             "only")
-    args = parser.parse_args(argv)
-
-    from pathlib import Path
-
-    from repro.serve import ServeError
-
-    if not _arm_faults(args.faults):
-        return 2
-    client = None
-    service = None
-    peers = _parse_peers(args.peers)
-    peer_bundles: tuple[str, ...] = ()
-    if peers:
-        if args.server:
-            print("--peers and --server are mutually exclusive",
-                  file=sys.stderr)
-            return 2
-        if not args.bundle:
-            print("--peers requires --bundle: the advisor every peer "
-                  "serves (a local bundle path, or a name they "
-                  "already serve)", file=sys.stderr)
-            return 2
-        provisioned = _provision_fabric(peers, args.bundle)
-        if provisioned is None:
-            return 2
-        peer_bundles = provisioned
-    elif args.server:
-        from repro.client import ClientError, RetryPolicy, connect
-
-        ignored = [
-            flag for flag, value, default in (
-                ("--workers", args.workers, 1),
-                ("--batch-size", args.batch_size, 256),
-                ("--cache-dir", args.cache_dir, None),
-                ("--scale", args.scale, 0.02),
-                ("--seed", args.seed, 7),
-                ("--epochs", args.epochs, 4),
-                ("--dim", args.dim, 32),
-            ) if value != default
-        ]
-        if ignored:
-            print(f"note: {', '.join(ignored)} are ignored with "
-                  f"--server — the daemon's own models and config "
-                  f"serve the request", file=sys.stderr)
-        try:
-            client = connect(args.server, retry=RetryPolicy(),
-                             deadline_s=args.deadline)
-        except (ClientError, OSError) as exc:
-            print(f"cannot reach server {args.server}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if not client.capabilities.get("rewrite"):
-            print(f"server at {args.server} does not support rewrite "
-                  f"requests (older daemon?)", file=sys.stderr)
-            client.close()
-            return 2
-        if args.bundle and args.bundle not in client.bundles():
-            print(f"server at {args.server} does not serve bundle "
-                  f"{args.bundle!r} (available: {client.bundles()})",
-                  file=sys.stderr)
-            client.close()
-            return 2
-    else:
-        from repro.serve import ServeConfig, build_service
-
-        serve_config = ServeConfig(
-            workers=args.workers, batch_size=args.batch_size,
-            shards=args.shards if args.shards is not None else 1)
-        if args.bundle:
-            from repro.artifacts import ArtifactError, SuggesterBundle
-
-            try:
-                bundle = SuggesterBundle.load(args.bundle)
-            except ArtifactError as exc:
-                print(f"cannot load bundle: {exc}", file=sys.stderr)
-                return 2
-            print(f"loaded {bundle.describe()}",
-                  file=sys.stderr if args.stream else sys.stdout)
-            service = build_service(bundle, serve_config,
-                                    cache_dir=args.cache_dir)
-        else:
-            from repro.eval.config import ExperimentConfig
-            from repro.eval.context import get_context
-
-            ctx = get_context(ExperimentConfig(
-                scale=args.scale, seed=args.seed, epochs=args.epochs,
-                dim=args.dim,
-            ))
-            service = build_service(ctx, serve_config,
-                                    cache_dir=args.cache_dir)
-
-    def _record(r) -> dict:
-        return {
-            "file": r.name,
-            "error": r.error,
-            "rewrites": [rw.to_dict() for rw in r.rewrites],
-            "rewritten_source": r.rewritten_source,
-        }
-
-    paths = sorted(Path(args.directory).rglob(args.pattern))
-    named = None
-    if peers:
-        named = _read_corpus(paths)
-        if named is None:
-            return 2
-    summary_out = sys.stderr if args.stream else sys.stdout
-    start = time.perf_counter()
-    try:
-        if args.stream:
-            results = []
-            if peers:
-                from repro.fabric import stream_fabric
-
-                stream = stream_fabric(peers, named, mode="rewrite",
-                                       verify=args.verify,
-                                       peer_bundles=peer_bundles,
-                                       ordered=False)
-            elif client is not None:
-                stream = client.stream_rewrite_paths(
-                    paths, bundle=args.bundle, ordered=False,
-                    verify=args.verify, shards=args.shards)
-            else:
-                stream = service.stream_rewrite_paths(
-                    paths, ordered=False, verify=args.verify)
-            for r in stream:
-                _ndjson_record(_structured_error(r.name, r.error)
-                               or _record(r))
-                results.append(r)
-            by_name = {r.name: r for r in results}
-            results = [by_name[str(p)] for p in paths]
-            done = {
-                "event": "done",
-                "files": len(results),
-                "loops": sum(len(r.rewrites) for r in results),
-                "accepted": sum(r.n_accepted for r in results),
-                "refused": sum(r.n_refused for r in results),
-                "errors": sum(1 for r in results if r.error),
-                "elapsed_s": round(time.perf_counter() - start, 3),
-            }
-            if service is not None:
-                # verifier counters (in-process only: the daemon keeps
-                # its own); "simulations": 0 is the warm-cache contract
-                done["verifier"] = service.cache_stats()["verify"]
-                done["simulations"] = done["verifier"]["simulations"]
-            _ndjson_record(done)
-        elif peers:
-            from repro.fabric import stream_fabric
-
-            results = list(stream_fabric(peers, named, mode="rewrite",
-                                         verify=args.verify,
-                                         peer_bundles=peer_bundles,
-                                         ordered=True))
-        elif client is not None:
-            results = client.rewrite_paths(paths, bundle=args.bundle,
-                                           verify=args.verify,
-                                           shards=args.shards)
-        else:
-            results = service.rewrite_paths(paths, verify=args.verify)
-    except ServeError as exc:
-        print(f"rewriting failed: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if client is not None:
-            client.close()
-    elapsed = time.perf_counter() - start
-    if not results:
-        print(f"no files matching {args.pattern!r} under {args.directory}",
+            json.dump([command.record(r) for r in results], fh, indent=2)
+        print(f"{command.written} written to {args.out}",
               file=summary_out)
-        return 1
-
-    n_loops = sum(len(r.rewrites) for r in results)
-    n_accepted = sum(r.n_accepted for r in results)
-    n_refused = sum(r.n_refused for r in results)
-    n_errors = sum(1 for r in results if r.error)
-    if not args.stream:              # per-file records already emitted
-        for r in results:
-            if r.error:
-                print(f"{r.name}: SKIPPED ({r.error})")
-                continue
-            print(f"{r.name}: {len(r.rewrites)} loops, "
-                  f"{r.n_accepted} rewritten, {r.n_refused} refused")
-            if not args.quiet:
-                for rw in r.rewrites:
-                    if rw.accepted:
-                        print(f"  [{rw.code}] {rw.pragma}")
-                    else:
-                        print(f"  [{rw.code}] {rw.detail}"
-                              if rw.detail else f"  [{rw.code}]")
-    rate = n_loops / elapsed if elapsed > 0 else float("inf")
-    print(f"{n_loops} loops across {len(results)} files: "
-          f"{n_accepted} rewritten, {n_refused} refused "
-          f"({n_errors} unparseable) in {elapsed:.2f}s "
-          f"({rate:.0f} loops/s)", file=summary_out)
-    if service is not None and args.verify:
-        v = service.cache_stats()["verify"]
-        print(f"verifier: {v['simulations']} simulations "
-              f"({v['compiled_runs']} compiled, "
-              f"{v['interpreted_runs']} interpreted runs, "
-              f"{v['cached_verdicts']} cached verdicts) in "
-              f"{v['elapsed_s']:.2f}s", file=summary_out)
-    if args.out:
-        payload = [_record(r) for r in results]
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"rewrites written to {args.out}", file=summary_out)
     return 0
 
 
@@ -1305,8 +1169,8 @@ _COMMANDS = {
     "dataset": dataset_main,
     "train": train_main,
     "eval": eval_main,
-    "suggest-dir": suggest_dir_main,
-    "rewrite-dir": rewrite_dir_main,
+    "suggest-dir": partial(dir_main, _SuggestDir),
+    "rewrite-dir": partial(dir_main, _RewriteDir),
     "serve": serve_main,
     "ping": ping_main,
     "bundle": bundle_main,

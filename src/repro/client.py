@@ -3,13 +3,15 @@
 :func:`connect` opens one connection, performs the
 :mod:`repro.serve.protocol` handshake, and returns a :class:`Client`
 whose surface mirrors the in-process
-:class:`~repro.serve.pipeline.SuggestionService` —
-``stream_sources`` / ``stream_paths`` / ``stream_dir`` yield
-:class:`~repro.serve.pipeline.FileSuggestions` as the server finishes
-them, ``suggest_*`` collect.  File contents are read locally and sent
+:class:`~repro.serve.pipeline.SuggestionService`: ``stream_sources``
+yields a :class:`~repro.serve.job.Job`'s results (suggestions by
+default, verified rewrites for a rewrite job) as the server finishes
+them, ``suggest_sources`` returns them as one batch reply, and
+``submit`` sends a request the caller built — for example one naming
+a directory on the server's own filesystem.  File contents travel
 inline, so the server needs no access to the client's filesystem, and
 replies revive through the exact payload shapes the in-process path
-produces — the suggestions are byte-identical to running the pipeline
+produces — the results are byte-identical to running the pipeline
 locally.
 
 Addresses: ``"host:port"`` (TCP) or ``"unix:/path/to.sock"``; a bare
@@ -42,9 +44,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.rewrite import FileRewrite
 from repro.serve import protocol
-from repro.serve.pipeline import FileSuggestions
+from repro.serve.job import SUGGEST, Job
 from repro.serve.stream import ServeError
 
 #: default seconds without a frame before a request is abandoned; the
@@ -367,7 +368,7 @@ class Client:
     ) -> Iterator[protocol.FileResult]:
         """Stream one request's raw :class:`FileResult` frames.
 
-        The index-tagged, payload-level form of :meth:`_stream` — what
+        The index-tagged, payload-level form of :meth:`submit` — what
         a fabric relay forwards verbatim onto a supervisor queue.
         Retry, reconnect, and exactly-once index dedup apply the same.
         """
@@ -398,13 +399,7 @@ class Client:
                 # idempotent and `seen` dedups the re-served files
                 self._absorb_failure(exc, failures)
 
-    def _stream(self, request: protocol.SuggestRequest,
-                revive=FileSuggestions.from_payload) -> Iterator:
-        for message in self.stream_request(request):
-            yield revive(message.name, message.payload)
-
-    def _batch(self, request: protocol.SuggestRequest,
-               revive=FileSuggestions.from_payload) -> list:
+    def _batch(self, request: protocol.SuggestRequest, revive) -> list:
         request = self._with_deadline(request)
         failures = 0
         while True:
@@ -502,180 +497,54 @@ class Client:
                              args=dict(args or {})),
             protocol.StoreOk)
 
+    def submit(self, request: protocol.SuggestRequest):
+        """Send a request the caller built and revive its results.
+
+        The request names its workload inline (``sources``) or on the
+        *server's* filesystem — ``paths``, or ``dir`` + ``pattern``,
+        for a daemon colocated with its corpus: no file contents
+        travel client → server, and the daemon refuses with
+        ``bad-request`` unless it opted in to reading there.  Its kind
+        picks the job (:meth:`Job.of`).  ``stream=True`` returns an
+        iterator over results as the server finishes them, which
+        raises :class:`ClientError` if the stream ends without the
+        server's ``done`` frame; ``stream=False`` returns the batch
+        reply as a list in input order.
+        """
+        job = Job.of(request)
+        if not job.served_by(self.capabilities):
+            raise ClientError(
+                f"server does not advertise the {job.mode!r} capability "
+                f"(older daemon?)", code=f"{job.mode}-unsupported")
+        if request.stream:
+            return (job.revive(frame.name, frame.payload)
+                    for frame in self.stream_request(request))
+        return self._batch(request, job.revive)
+
     def stream_sources(
         self, named_sources: list[tuple[str, str]], *,
-        bundle: str | None = None, ordered: bool = True,
-        shards: int | str | None = None,
-    ) -> Iterator[FileSuggestions]:
-        """Stream suggestions for ``(name, source)`` pairs.
+        job: Job = SUGGEST, bundle: str | None = None,
+        ordered: bool = True, shards: int | str | None = None,
+    ) -> Iterator:
+        """Stream ``job``'s results for ``(name, source)`` pairs.
 
         Mirrors :meth:`SuggestionService.stream_sources`; the server
         does the work over its warm store and streams files back as
-        they finish.  Raises :class:`ClientError` if the stream ends
-        without the server's ``done`` frame.
+        they finish.
         """
-        named = tuple((str(name), source)
-                      for name, source in named_sources)
-        return self._stream(protocol.SuggestRequest(
-            sources=named, bundle=bundle, ordered=ordered,
-            stream=True, shards=shards))
+        return self.submit(job.request(
+            sources=tuple((str(name), source)
+                          for name, source in named_sources),
+            bundle=bundle, ordered=ordered, stream=True, shards=shards))
 
     def suggest_sources(
         self, named_sources: list[tuple[str, str]], *,
-        bundle: str | None = None, shards: int | str | None = None,
-    ) -> list[FileSuggestions]:
-        """Batch reply in input order (one frame, then done)."""
-        named = tuple((str(name), source)
-                      for name, source in named_sources)
-        return self._batch(protocol.SuggestRequest(
-            sources=named, bundle=bundle, ordered=True,
-            stream=False, shards=shards))
-
-    # -- path/dir conveniences (local reads, mirroring the service) ----------
-
-    def stream_paths(self, paths, *, bundle: str | None = None,
-                     ordered: bool = True,
-                     shards: int | str | None = None,
-                     ) -> Iterator[FileSuggestions]:
-        named = [(str(p), Path(p).read_text(encoding="utf-8"))
-                 for p in paths]
-        return self.stream_sources(named, bundle=bundle,
-                                   ordered=ordered, shards=shards)
-
-    def stream_dir(self, directory, pattern: str = "*.c", *,
-                   bundle: str | None = None, ordered: bool = True,
-                   shards: int | str | None = None,
-                   ) -> Iterator[FileSuggestions]:
-        paths = sorted(Path(directory).rglob(pattern))
-        return self.stream_paths(paths, bundle=bundle, ordered=ordered,
-                                 shards=shards)
-
-    def suggest_paths(self, paths, *, bundle: str | None = None,
-                      shards: int | str | None = None,
-                      ) -> list[FileSuggestions]:
-        named = [(str(p), Path(p).read_text(encoding="utf-8"))
-                 for p in paths]
-        return self.suggest_sources(named, bundle=bundle, shards=shards)
-
-    def suggest_dir(self, directory, pattern: str = "*.c", *,
-                    bundle: str | None = None,
-                    shards: int | str | None = None,
-                    ) -> list[FileSuggestions]:
-        paths = sorted(Path(directory).rglob(pattern))
-        return self.suggest_paths(paths, bundle=bundle, shards=shards)
-
-    # -- verified rewrites (mirrors SuggestionService.rewrite_*) -------------
-
-    def _require_rewrite(self) -> None:
-        if not self.capabilities.get("rewrite"):
-            raise ClientError(
-                "server does not advertise the 'rewrite' capability "
-                "(older daemon?)", code="rewrite-unsupported")
-
-    def stream_rewrite_sources(
-        self, named_sources: list[tuple[str, str]], *,
-        bundle: str | None = None, ordered: bool = True,
-        verify: bool = True, shards: int | str | None = None,
-    ) -> Iterator[FileRewrite]:
-        """Stream verified rewrites for ``(name, source)`` pairs.
-
-        Mirrors :meth:`SuggestionService.stream_rewrite_sources`; the
-        server suggests over its warm store, applies each file's
-        suggestions as interpreter-verified AST rewrites, and streams
-        :class:`~repro.rewrite.FileRewrite` results back — byte-
-        identical to running the rewrite pass locally.
-        """
-        self._require_rewrite()
-        named = tuple((str(name), source)
-                      for name, source in named_sources)
-        return self._stream(
-            protocol.RewriteRequest(sources=named, bundle=bundle,
-                                    ordered=ordered, stream=True,
-                                    shards=shards, verify=verify),
-            revive=FileRewrite.from_payload)
-
-    def rewrite_sources(
-        self, named_sources: list[tuple[str, str]], *,
-        bundle: str | None = None, verify: bool = True,
+        job: Job = SUGGEST, bundle: str | None = None,
         shards: int | str | None = None,
-    ) -> list[FileRewrite]:
-        """Batch rewrite reply in input order."""
-        self._require_rewrite()
-        named = tuple((str(name), source)
-                      for name, source in named_sources)
-        return self._batch(
-            protocol.RewriteRequest(sources=named, bundle=bundle,
-                                    ordered=True, stream=False,
-                                    shards=shards, verify=verify),
-            revive=FileRewrite.from_payload)
-
-    def stream_rewrite_paths(self, paths, *, bundle: str | None = None,
-                             ordered: bool = True, verify: bool = True,
-                             shards: int | str | None = None,
-                             ) -> Iterator[FileRewrite]:
-        named = [(str(p), Path(p).read_text(encoding="utf-8"))
-                 for p in paths]
-        return self.stream_rewrite_sources(named, bundle=bundle,
-                                           ordered=ordered,
-                                           verify=verify, shards=shards)
-
-    def stream_rewrite_dir(self, directory, pattern: str = "*.c", *,
-                           bundle: str | None = None,
-                           ordered: bool = True, verify: bool = True,
-                           shards: int | str | None = None,
-                           ) -> Iterator[FileRewrite]:
-        paths = sorted(Path(directory).rglob(pattern))
-        return self.stream_rewrite_paths(paths, bundle=bundle,
-                                         ordered=ordered, verify=verify,
-                                         shards=shards)
-
-    def rewrite_paths(self, paths, *, bundle: str | None = None,
-                      verify: bool = True,
-                      shards: int | str | None = None,
-                      ) -> list[FileRewrite]:
-        named = [(str(p), Path(p).read_text(encoding="utf-8"))
-                 for p in paths]
-        return self.rewrite_sources(named, bundle=bundle, verify=verify,
-                                    shards=shards)
-
-    def rewrite_dir(self, directory, pattern: str = "*.c", *,
-                    bundle: str | None = None, verify: bool = True,
-                    shards: int | str | None = None,
-                    ) -> list[FileRewrite]:
-        paths = sorted(Path(directory).rglob(pattern))
-        return self.rewrite_paths(paths, bundle=bundle, verify=verify,
-                                  shards=shards)
-
-    # -- server-side paths (daemon colocated with the corpus) ----------------
-
-    def stream_server_dir(self, directory, pattern: str = "*.c", *,
-                          bundle: str | None = None,
-                          ordered: bool = True,
-                          shards: int | str | None = None,
-                          ) -> Iterator[FileSuggestions]:
-        """Stream over a directory on the *server's* filesystem.
-
-        No file contents travel client → server; the daemon reads and
-        serves its local corpus (refusing with ``bad-request`` if the
-        directory or a file is unreadable there).
-        """
-        return self._stream(protocol.SuggestRequest(
-            dir=str(directory), pattern=pattern, bundle=bundle,
-            ordered=ordered, stream=True, shards=shards))
-
-    def suggest_server_dir(self, directory, pattern: str = "*.c", *,
-                           bundle: str | None = None,
-                           shards: int | str | None = None,
-                           ) -> list[FileSuggestions]:
-        return self._batch(protocol.SuggestRequest(
-            dir=str(directory), pattern=pattern, bundle=bundle,
-            ordered=True, stream=False, shards=shards))
-
-    def suggest_server_paths(self, paths, *,
-                             bundle: str | None = None,
-                             shards: int | str | None = None,
-                             ) -> list[FileSuggestions]:
-        """Batch over files named by *server-side* paths."""
-        return self._batch(protocol.SuggestRequest(
-            paths=tuple(str(p) for p in paths), bundle=bundle,
-            ordered=True, stream=False, shards=shards))
+    ) -> list:
+        """``job``'s results as one batch reply in input order (one
+        frame, then done)."""
+        return self.submit(job.request(
+            sources=tuple((str(name), source)
+                          for name, source in named_sources),
+            bundle=bundle, ordered=True, stream=False, shards=shards))

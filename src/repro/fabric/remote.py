@@ -38,7 +38,8 @@ from dataclasses import replace
 
 from repro.client import ClientError, RetryPolicy, connect
 from repro.serve import faults, protocol
-from repro.serve.pipeline import FileSuggestions, ServeConfig
+from repro.serve.job import SUGGEST, Job
+from repro.serve.pipeline import ServeConfig
 from repro.serve.plan import plan_peer_shards
 from repro.serve.stream import merge_results, stream_shards
 from repro.serve.worker import WorkerSpec
@@ -80,13 +81,9 @@ def _dial(spec: WorkerSpec, sid: int, *, client_id: str):
 
 def _request_for(spec: WorkerSpec, items,
                  bundle: str | None) -> protocol.SuggestRequest:
-    named = tuple((str(name), source) for name, source in items)
-    if spec.mode == "rewrite":
-        return protocol.RewriteRequest(sources=named, bundle=bundle,
-                                       ordered=False, stream=True,
-                                       verify=spec.verify)
-    return protocol.SuggestRequest(sources=named, bundle=bundle,
-                                   ordered=False, stream=True)
+    return spec.job.request(
+        sources=tuple((str(name), source) for name, source in items),
+        bundle=bundle, ordered=False, stream=True)
 
 
 def _die(queue) -> None:
@@ -157,8 +154,8 @@ def relay_shard(spec: WorkerSpec, shard, queue, heartbeat, *,
             pass
 
 
-def iter_inline(spec: WorkerSpec, named_sources,
-                revive) -> Iterator[tuple[int, object]]:
+def iter_inline(spec: WorkerSpec,
+                named_sources) -> Iterator[tuple[int, object]]:
     """Process-free fallback: relay the whole corpus through one peer.
 
     Used when worker processes cannot spawn at all — remote shards do
@@ -169,23 +166,22 @@ def iter_inline(spec: WorkerSpec, named_sources,
     try:
         request = _request_for(spec, list(named_sources), bundle)
         for frame in client.stream_request(request):
-            yield frame.index, revive(frame.name, frame.payload)
+            yield frame.index, spec.job.revive(frame.name, frame.payload)
     finally:
         client.close()
 
 
 def stream_fabric(
-    peers, named_sources, *, mode: str = "suggest", verify: bool = True,
+    peers, named_sources, *, job: Job = SUGGEST,
     peer_bundles=(), ordered: bool = True,
     config: ServeConfig | None = None, timeout_s: float = 600.0,
 ) -> Iterator:
     """Fan ``(name, source)`` pairs out across remote peer daemons.
 
-    Yields :class:`~repro.serve.pipeline.FileSuggestions` (or
-    :class:`~repro.rewrite.FileRewrite` in ``mode="rewrite"``) exactly
-    as the in-process ``stream_sources`` would — byte-identical
-    results, same ordered / as-completed semantics — with the compute
-    happening on the peers and peer loss handled by requeue.
+    Yields ``job``'s results exactly as the in-process
+    ``stream_sources`` would — byte-identical results, same ordered /
+    as-completed semantics — with the compute happening on the peers
+    and peer loss handled by requeue.
     ``peer_bundles`` (from :func:`~repro.fabric.cas.provision_peers`)
     names the bundle each peer serves; empty means every peer's
     default.  ``config`` supplies the supervision knobs
@@ -199,17 +195,9 @@ def stream_fabric(
         raise ValueError("peer_bundles must align with peers")
     config = config if config is not None else ServeConfig()
     spec = WorkerSpec(config=replace(config, shards=1, workers=1),
-                      mode=mode, verify=verify, peers=peers,
-                      peer_bundles=peer_bundles,
+                      job=job, peers=peers, peer_bundles=peer_bundles,
                       peer_timeout_s=timeout_s)
-    if mode == "rewrite":
-        from repro.rewrite import FileRewrite
-
-        revive = FileRewrite.from_payload
-    else:
-        revive = FileSuggestions.from_payload
     named = [(str(name), source) for name, source in named_sources]
     n_shards = plan_peer_shards(len(peers), named)
-    return merge_results(
-        stream_shards(spec, named, n_shards, revive=revive),
-        ordered=ordered)
+    return merge_results(stream_shards(spec, named, n_shards),
+                         ordered=ordered)

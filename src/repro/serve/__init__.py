@@ -6,8 +6,9 @@ into size-balanced shards, :mod:`~repro.serve.worker` runs the whole
 parse → encode → block-diagonal forward → fan-out pipeline inside each
 worker process, and :mod:`~repro.serve.stream` streams per-file results
 back over a result queue as they complete — ordered or as-completed.
-:class:`SuggestionService.stream_dir` is the streaming API;
-``suggest_dir`` collects it.  A :class:`SuggestionStore` persists parse
+:meth:`SuggestionService.stream_sources` is the streaming API; its
+:class:`Job` picks suggestions (the default) or verified rewrites, the
+one choice every layer passes through.  A :class:`SuggestionStore` persists parse
 results and finished suggestions across processes, keyed by file
 content hash and model fingerprint, so warm runs over unchanged files
 skip both the frontend and every model forward — and every shard
@@ -30,6 +31,7 @@ torn store writes and refused bundle loads so all of it is testable.
 """
 
 from repro.serve.faults import Fault, FaultError, FaultPlan
+from repro.serve.job import REWRITE, SUGGEST, Job
 from repro.serve.parse import ParsedFile, parse_many, parse_one
 from repro.serve.pipeline import (
     FileSuggestions,
@@ -60,11 +62,14 @@ __all__ = [
     "FaultError",
     "FaultPlan",
     "FileSuggestions",
+    "Job",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "ParsedFile",
     "ProtocolError",
+    "REWRITE",
     "STORE_VERSION",
+    "SUGGEST",
     "ServeConfig",
     "ServeError",
     "Shard",

@@ -18,8 +18,8 @@ Corpora additionally shard end-to-end: ``stream_sources`` with
 fan-out pipeline *locally* inside each worker process
 (:mod:`repro.serve.worker`), and yields per-file results as they stream
 back over the result queue (:mod:`repro.serve.stream`) — in input
-order or as completed.  ``suggest_sources`` / ``suggest_dir`` are thin
-collecting wrappers over the stream.
+order or as completed.  The same stream serves verified rewrites: a
+:class:`~repro.serve.job.Job` says which of the two a caller wants.
 
 A :class:`~repro.serve.store.SuggestionStore` extends the caching
 across processes: finished per-file suggestions (keyed by content hash
@@ -39,6 +39,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from repro.serve.job import SUGGEST, Job
 from repro.serve.parse import ParsedFile, parse_many
 from repro.serve.store import SuggestionStore, content_key, open_store
 from repro.suggest import LoopRequest, PragmaSuggester, Suggestion
@@ -357,136 +358,32 @@ class SuggestionService:
                     name=name, suggestions=fs.suggestions, error=fs.error)
                 yield tag, i, out
 
-    def stream_tagged(
-        self, named_sources: list[tuple[str, str]], *,
-        shards: int | str | None = None,
-    ) -> Iterator[tuple[int, FileSuggestions]]:
-        """``(input_index, FileSuggestions)`` pairs in completion order.
-
-        The index-tagged core under :meth:`stream_sources`, exposed for
-        consumers that need to know *which* input each result answers
-        while still observing completion order — the network server
-        forwards these tags to its clients verbatim.  ``shards``
-        follows the same rules as :meth:`stream_sources`.
-        """
-        from repro.serve.plan import resolve_shards
-        from repro.serve.stream import stream_shards
-
-        named = list(named_sources)
-        n_shards = resolve_shards(
-            self.config.shards if shards is None else shards, named)
-        if n_shards > 1 and len(named) > 1:
-            return stream_shards(
-                self._worker_spec(), named, n_shards,
-                on_stats=self._absorb_worker_stats,
-            )
-        return self.iter_sources(named)
-
-    def stream_sources(
-        self, named_sources: list[tuple[str, str]], *,
-        ordered: bool = True, shards: int | str | None = None,
-    ) -> Iterator[FileSuggestions]:
-        """Stream suggestions for many ``(name, source)`` pairs.
-
-        ``shards > 1`` partitions the corpus by file size and runs the
-        entire pipeline inside that many worker processes, each
-        committing to the shared persistent store and streaming
-        finished files back as they complete; ``shards`` defaults to
-        the service config, and ``"auto"`` (or ``0``) picks a count
-        from corpus statistics and the CPU count — falling back to
-        in-process on a single CPU, where forked workers only add
-        overhead.  ``ordered=True`` re-interleaves results
-        into input order (buffering out-of-order arrivals);
-        ``ordered=False`` yields in completion order for lowest
-        first-result latency.  Suggestions are byte-identical across
-        shard counts and orderings.
-        """
-        from repro.serve.stream import merge_results
-
-        return merge_results(self.stream_tagged(named_sources,
-                                                shards=shards),
-                             ordered=ordered)
-
-    def stream_paths(self, paths, *, ordered: bool = True,
-                     shards: int | None = None,
-                     ) -> Iterator[FileSuggestions]:
-        named = [
-            (str(path), Path(path).read_text(encoding="utf-8"))
-            for path in paths
-        ]
-        return self.stream_sources(named, ordered=ordered, shards=shards)
-
-    def stream_dir(self, directory, pattern: str = "*.c", *,
-                   ordered: bool = True, shards: int | None = None,
-                   ) -> Iterator[FileSuggestions]:
-        """Stream suggestions for every ``pattern`` file under
-        ``directory`` as they complete."""
-        paths = sorted(Path(directory).rglob(pattern))
-        return self.stream_paths(paths, ordered=ordered, shards=shards)
-
-    # -- collecting wrappers -------------------------------------------------
-
-    def suggest_sources(
-        self, named_sources: list[tuple[str, str]],
-    ) -> list[FileSuggestions]:
-        """Suggestions for many ``(name, source)`` pairs at once.
-
-        Collects :meth:`stream_sources` in input order.  All loops of
-        all files needing compute go through one ``suggest_batch`` call
-        per shard, so every model runs a single batched forward for the
-        whole workload.  With a persistent store, files with cached
-        suggestions never reach the parse stage, and files with cached
-        parses never reach the frontend.
-        """
-        return list(self.stream_sources(named_sources, ordered=True))
-
-    def suggest_paths(self, paths) -> list[FileSuggestions]:
-        return list(self.stream_paths(paths, ordered=True))
-
-    def suggest_dir(self, directory, pattern: str = "*.c",
-                    ) -> list[FileSuggestions]:
-        """Suggestions for every ``pattern`` file under ``directory``."""
-        return list(self.stream_dir(directory, pattern=pattern,
-                                    ordered=True))
-
-    # -- rewriting -----------------------------------------------------------
-
     def iter_rewrites(
         self, named_sources: list[tuple[str, str]], *,
-        verify: bool = True, rewrite_config=None,
+        verify: bool = True,
     ) -> Iterator[tuple[int, "FileRewrite"]]:
         """In-process rewrite core: suggestions off :meth:`iter_sources`
         applied as verified AST rewrites the moment they complete, with
         the persistent verdict layer and this service's verifier
         counters threaded through.  Shard workers drive this directly.
         """
-        from repro.rewrite import rewrite_file
-
+        job = Job("rewrite", verify=verify)
         named = list(named_sources)
         for i, fs in self.iter_sources(named):
-            yield i, rewrite_file(named[i][0], named[i][1], fs,
-                                  verify=verify, config=rewrite_config,
-                                  store=self.store,
-                                  stats=self._verify_stats)
+            yield i, job.finish(self, named[i][0], named[i][1], fs)
 
-    def stream_rewrite_tagged(
+    def stream_tagged(
         self, named_sources: list[tuple[str, str]], *,
-        verify: bool = True, shards: int | str | None = None,
-        rewrite_config=None,
-    ) -> Iterator[tuple[int, "FileRewrite"]]:
-        """``(input_index, FileRewrite)`` pairs in completion order.
+        job: Job = SUGGEST, shards: int | str | None = None,
+    ) -> Iterator[tuple[int, object]]:
+        """``(input_index, result)`` pairs in completion order.
 
-        Each file's suggestions come off the same store/dedup path as
-        plain suggesting — cached suggestions still skip parse and
-        inference, cached verdicts skip simulation — and are applied as
-        verified AST rewrites the moment they complete.  With
-        ``shards > 1`` the *whole* pipeline including verification runs
-        inside the shard workers, so verification distributes across
-        processes too.  The rewrite pass is deterministic, so results
-        are byte-identical across shard counts, orderings, and the
-        daemon path.
+        The index-tagged core under :meth:`stream_sources`, exposed for
+        consumers that need to know *which* input each result answers
+        while still observing completion order — the network server
+        forwards these tags to its clients verbatim.  ``job`` and
+        ``shards`` follow the same rules as :meth:`stream_sources`.
         """
-        from repro.rewrite import FileRewrite
         from repro.serve.plan import resolve_shards
         from repro.serve.stream import stream_shards
 
@@ -495,71 +392,55 @@ class SuggestionService:
             self.config.shards if shards is None else shards, named)
         if n_shards > 1 and len(named) > 1:
             return stream_shards(
-                self._worker_spec(mode="rewrite", verify=verify,
-                                  verify_config=rewrite_config),
-                named, n_shards,
+                self._worker_spec(job), named, n_shards,
                 on_stats=self._absorb_worker_stats,
-                revive=FileRewrite.from_payload,
             )
-        return self.iter_rewrites(named, verify=verify,
-                                  rewrite_config=rewrite_config)
+        return job.run(self, named)
+
+    def stream_sources(
+        self, named_sources: list[tuple[str, str]], *,
+        ordered: bool = True, shards: int | str | None = None,
+        job: Job = SUGGEST,
+    ) -> Iterator:
+        """Stream ``job``'s results for many ``(name, source)`` pairs:
+        :class:`FileSuggestions` by default, verified
+        :class:`~repro.rewrite.FileRewrite` for a rewrite job.
+
+        ``shards > 1`` partitions the corpus by file size and runs the
+        entire pipeline — verification included — inside that many
+        worker processes, each committing to the shared persistent
+        store and streaming finished files back as they complete;
+        ``shards`` defaults to the service config, and ``"auto"`` (or
+        ``0``) picks a count from corpus statistics and the CPU count —
+        falling back to in-process on a single CPU, where forked
+        workers only add overhead.  ``ordered=True`` re-interleaves
+        results into input order (buffering out-of-order arrivals);
+        ``ordered=False`` yields in completion order for lowest
+        first-result latency.  With a persistent store, files with
+        cached suggestions never reach the parse stage and cached
+        verdicts skip simulation.  Results are byte-identical across
+        shard counts and orderings.
+        """
+        from repro.serve.stream import merge_results
+
+        return merge_results(self.stream_tagged(named_sources, job=job,
+                                                shards=shards),
+                             ordered=ordered)
 
     def stream_rewrite_sources(
         self, named_sources: list[tuple[str, str]], *,
         ordered: bool = True, verify: bool = True,
         shards: int | str | None = None,
     ) -> Iterator["FileRewrite"]:
-        """Stream verified rewrites for many ``(name, source)`` pairs."""
-        from repro.serve.stream import merge_results
-
-        return merge_results(
-            self.stream_rewrite_tagged(named_sources, verify=verify,
-                                       shards=shards),
-            ordered=ordered)
-
-    def stream_rewrite_paths(self, paths, *, ordered: bool = True,
-                             verify: bool = True,
-                             shards: int | None = None):
-        named = [
-            (str(path), Path(path).read_text(encoding="utf-8"))
-            for path in paths
-        ]
-        return self.stream_rewrite_sources(named, ordered=ordered,
-                                           verify=verify, shards=shards)
-
-    def stream_rewrite_dir(self, directory, pattern: str = "*.c", *,
-                           ordered: bool = True, verify: bool = True,
-                           shards: int | None = None):
-        """Stream rewrites for every ``pattern`` file under
-        ``directory`` as they complete."""
-        paths = sorted(Path(directory).rglob(pattern))
-        return self.stream_rewrite_paths(paths, ordered=ordered,
-                                         verify=verify, shards=shards)
-
-    def rewrite_sources(self, named_sources: list[tuple[str, str]], *,
-                        verify: bool = True) -> list["FileRewrite"]:
-        """Verified rewrites for many ``(name, source)`` pairs,
-        collected in input order."""
-        return list(self.stream_rewrite_sources(named_sources,
-                                                ordered=True,
-                                                verify=verify))
-
-    def rewrite_paths(self, paths, *, verify: bool = True,
-                      ) -> list["FileRewrite"]:
-        return list(self.stream_rewrite_paths(paths, ordered=True,
-                                              verify=verify))
-
-    def rewrite_dir(self, directory, pattern: str = "*.c", *,
-                    verify: bool = True) -> list["FileRewrite"]:
-        """Verified rewrites for every ``pattern`` file under
-        ``directory``."""
-        return list(self.stream_rewrite_dir(directory, pattern=pattern,
-                                            ordered=True, verify=verify))
+        """:meth:`stream_sources` with a rewrite job; kept by name
+        because ``perfbench/child.py`` calls it."""
+        return self.stream_sources(named_sources, ordered=ordered,
+                                   shards=shards,
+                                   job=Job("rewrite", verify=verify))
 
     # -- sharding support ----------------------------------------------------
 
-    def _worker_spec(self, mode: str = "suggest", verify: bool = True,
-                     verify_config=None):
+    def _worker_spec(self, job: Job = SUGGEST):
         """Picklable recipe for rebuilding this service in a worker."""
         from repro.serve.worker import WorkerSpec
 
@@ -574,10 +455,10 @@ class SuggestionService:
             bundle_path=self._bundle_path,
             models=(None if self._bundle_path is not None
                     else (parallel, clause_models)),
-            clauses=tuple(sorted(clause_models)),
-            mode=mode,
-            verify=verify,
-            verify_config=verify_config,
+            # the service's own order, never sorted: the suggester
+            # lists each loop's clause families in this order
+            clauses=tuple(clause_models),
+            job=job,
         )
 
     def _absorb_worker_stats(self, stats: dict) -> None:

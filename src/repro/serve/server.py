@@ -71,6 +71,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.serve import protocol
+from repro.serve.job import Job
 from repro.serve.pipeline import ServeConfig, SuggestionService
 from repro.serve.store import open_store
 
@@ -167,6 +168,7 @@ class _Pending:
                  service: SuggestionService, future) -> None:
         self.conn = conn
         self.request = request
+        self.job = Job.of(request)
         self.files = [(i, name, source)
                       for i, (name, source) in enumerate(named)]
         self.total = len(self.files)
@@ -206,6 +208,17 @@ class _Pending:
         item = self.files[self._cursor]
         self._cursor += 1
         return item
+
+    def result(self, index: int, fs):
+        """The request's job applied to one file's finished suggestions.
+
+        Runs on the compute thread — a rewrite request's interpreter
+        verification must never touch the event loop.  Suggestion
+        coalescing is unaffected: rewrites are a deterministic per-file
+        function of the shared suggestion result.
+        """
+        _, name, source = self.files[index]
+        return self.job.finish(self.service, name, source, fs)
 
     def _send_frame(self, frame) -> None:
         try:
@@ -1178,28 +1191,6 @@ class SuggestServer:
             lane.queue.remove(pending)
         return list(chunks.items())
 
-    @staticmethod
-    def _transform(pending: _Pending, index: int, fs, service=None):
-        """Apply the request's post-pass to one finished file.
-
-        Runs on the compute thread — a rewrite request's interpreter
-        verification must never touch the event loop.  Suggestion
-        coalescing is unaffected: rewrites are a deterministic
-        per-file function of the shared suggestion result.  ``service``
-        (the lane's) supplies the persistent verdict cache and the
-        verifier counters; results are byte-identical without it.
-        """
-        if isinstance(pending.request, protocol.RewriteRequest):
-            from repro.rewrite import rewrite_file
-
-            _, name, source = pending.files[index]
-            return rewrite_file(
-                name, source, fs, verify=pending.request.verify,
-                store=None if service is None else service.store,
-                stats=None if service is None
-                else service._verify_stats)
-        return fs
-
     def _compute_round(self, lane: _Lane,
                        batch: list[tuple[_Pending, list]]) -> None:
         """Run one coalesced round (compute thread; one per lane).
@@ -1225,10 +1216,9 @@ class SuggestServer:
                 try:
                     for local_i, fs in results:
                         index = indices[local_i]
-                        out = self._transform(pending, index, fs,
-                                              service)
                         loop.call_soon_threadsafe(
-                            pending.deliver, index, out)
+                            pending.deliver, index,
+                            pending.result(index, fs))
                 finally:
                     close = getattr(results, "close", None)
                     if close is not None:   # reap shard workers
@@ -1243,9 +1233,9 @@ class SuggestServer:
                 for tag, local_i, fs in service.iter_joint(workloads):
                     pending, indices = tag
                     index = indices[local_i]
-                    out = self._transform(pending, index, fs, service)
                     loop.call_soon_threadsafe(
-                        pending.deliver, index, out)
+                        pending.deliver, index,
+                        pending.result(index, fs))
         except Exception:
             tb = traceback.format_exc()
             for pending, _ in batch:

@@ -108,20 +108,19 @@ def _error_record(revive, name: str, code: str, detail: str):
 
 def stream_shards(
     spec, named_sources: list[tuple[str, str]], n_shards: int,
-    on_stats=None, revive=None,
-) -> Iterator[tuple[int, FileSuggestions]]:
+    on_stats=None,
+) -> Iterator[tuple[int, object]]:
     """Run ``named_sources`` through ``n_shards`` supervised workers.
 
     ``spec`` is a :class:`~repro.serve.worker.WorkerSpec`; each worker
-    rebuilds the full service from it, runs parse → encode → forward →
-    fan-out (plus verified rewriting in ``mode="rewrite"``) locally for
-    its shard, commits to the shared persistent store, and streams
-    per-file results back as they complete.  ``on_stats`` receives each
-    worker's ``cache_stats()`` dict when its shard finishes, so the
-    parent can fold shard work into its own counters.  ``revive``
-    rebuilds each result from its ``(name, payload)`` wire form;
-    default: :meth:`FileSuggestions.from_payload` (rewrite streams pass
-    :meth:`FileRewrite.from_payload`).
+    rebuilds the full service from it, runs the spec's job — parse →
+    encode → forward → fan-out, plus verified rewriting for a rewrite
+    job — locally for its shard, commits to the shared persistent
+    store, and streams per-file results back as they complete; the
+    job revives each one from its ``(name, payload)`` wire form.
+    ``on_stats`` receives each worker's ``cache_stats()`` dict when its
+    shard finishes, so the parent can fold shard work into its own
+    counters.
 
     Retry behaviour is governed by the spec's
     :class:`~repro.serve.pipeline.ServeConfig`: ``max_retries`` worker
@@ -131,8 +130,7 @@ def stream_shards(
     """
     from repro.serve.worker import worker_main
 
-    if revive is None:
-        revive = FileSuggestions.from_payload
+    revive = spec.job.revive
     config = getattr(spec, "config", None)
     max_retries = getattr(config, "max_retries", 3)
     heartbeat_s = getattr(config, "heartbeat_s", 30.0)
@@ -179,15 +177,10 @@ def stream_shards(
             # them from this process.
             from repro.fabric.remote import iter_inline
 
-            yield from iter_inline(spec, named, revive)
+            yield from iter_inline(spec, named)
             return
         service = spec.build_service()
-        if getattr(spec, "mode", "suggest") == "rewrite":
-            yield from service.iter_rewrites(
-                named, verify=spec.verify,
-                rewrite_config=spec.verify_config)
-        else:
-            yield from service.iter_sources(named)
+        yield from spec.job.run(service, named)
         if on_stats is not None:
             on_stats(service.cache_stats())
         return

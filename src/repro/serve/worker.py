@@ -39,6 +39,7 @@ import traceback
 from dataclasses import dataclass, field
 
 from repro.serve import faults
+from repro.serve.job import SUGGEST, Job
 from repro.serve.pipeline import ServeConfig, SuggestionService
 from repro.serve.store import open_store
 
@@ -57,12 +58,9 @@ class WorkerSpec:
     restricts which clause families a bundle-backed worker serves, so
     workers agree with the parent's model key.
 
-    ``mode`` selects what the worker streams back: ``"suggest"`` (the
-    default) runs the suggestion pipeline, ``"rewrite"`` additionally
-    applies and verifies rewrites inside the worker — this is what
-    distributes verification across shards.  ``verify`` /
-    ``verify_config`` are the rewrite knobs (a frozen
-    :class:`~repro.rewrite.verify.VerifyConfig` pickles fine).
+    ``job`` (:class:`~repro.serve.job.Job`) selects what the worker
+    streams back: suggestions, or rewrites applied and verified inside
+    the worker — this is what distributes verification across shards.
 
     ``peers`` switches the worker into *remote* mode: instead of
     rebuilding a service locally it dials one of the listed ``repro
@@ -82,9 +80,7 @@ class WorkerSpec:
     bundle_path: str | None = None
     models: tuple | None = None
     clauses: tuple[str, ...] = field(default_factory=tuple)
-    mode: str = "suggest"
-    verify: bool = True
-    verify_config: object | None = None
+    job: Job = SUGGEST
     peers: tuple[str, ...] = field(default_factory=tuple)
     peer_bundles: tuple[str | None, ...] = field(default_factory=tuple)
     peer_timeout_s: float = 600.0
@@ -149,22 +145,11 @@ def _iter_results(service, spec: WorkerSpec, shard, queue, careful: bool):
     which input was in flight if this process dies.
     """
     if not careful:
-        if spec.mode == "rewrite":
-            yield from service.iter_rewrites(
-                shard.items, verify=spec.verify,
-                rewrite_config=spec.verify_config)
-        else:
-            yield from service.iter_sources(shard.items)
+        yield from spec.job.run(service, shard.items)
         return
     for local_index, item in enumerate(shard.items):
         queue.put(("claim", shard.sid, shard.indices[local_index]))
-        if spec.mode == "rewrite":
-            results = service.iter_rewrites(
-                [item], verify=spec.verify,
-                rewrite_config=spec.verify_config)
-        else:
-            results = service.iter_sources([item])
-        for _, result in results:
+        for _, result in spec.job.run(service, [item]):
             yield local_index, result
 
 

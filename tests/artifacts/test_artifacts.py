@@ -293,11 +293,11 @@ class TestSuggesterBundle:
 
         monkeypatch.setattr(GraphTrainer, "fit", boom)
         service = loaded.build_service()
-        results = service.suggest_sources([(
+        results = list(service.stream_sources([(
             "k.c",
             "void f(void) { int i; double s, a[8];"
             " for (i = 0; i < 8; i++) s += a[i]; }",
-        )])
+        )]))
         assert len(results) == 1
         assert results[0].error is None
         assert len(results[0].suggestions) == 1

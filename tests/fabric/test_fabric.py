@@ -13,8 +13,7 @@ import pytest
 
 from repro.client import ClientError
 from repro.fabric import NetworkStore, iter_inline, stream_fabric
-from repro.serve import ServeConfig, SuggestionService, SuggestServer
-from repro.serve.pipeline import FileSuggestions
+from repro.serve import REWRITE, ServeConfig, SuggestionService, SuggestServer
 from repro.serve.worker import WorkerSpec
 
 SOURCE_A = """
@@ -60,7 +59,7 @@ def _service() -> SuggestionService:
 
 def _golden():
     """The in-process results every fabric topology must reproduce."""
-    return _snap(_service().suggest_sources(CORPUS))
+    return _snap(list(_service().stream_sources(CORPUS)))
 
 
 def _snap(results):
@@ -115,8 +114,8 @@ class TestStreamFabric:
 
     def test_rewrite_mode_byte_identical(self, fleet):
         golden = [(r.name, r.to_payload())
-                  for r in _service().rewrite_sources(CORPUS)]
-        results = list(stream_fabric(fleet, CORPUS, mode="rewrite",
+                  for r in _service().stream_sources(CORPUS, job=REWRITE)]
+        results = list(stream_fabric(fleet, CORPUS, job=REWRITE,
                                      ordered=True))
         assert [(r.name, r.to_payload()) for r in results] == golden
 
@@ -133,9 +132,7 @@ class TestIterInline:
     def test_matches_golden_without_processes(self, fleet):
         spec = WorkerSpec(config=ServeConfig(), peers=(fleet[0],),
                           peer_timeout_s=60.0)
-        got = sorted(iter_inline(spec, CORPUS,
-                                 FileSuggestions.from_payload),
-                     key=lambda pair: pair[0])
+        got = sorted(iter_inline(spec, CORPUS), key=lambda pair: pair[0])
         assert [(i, r.name, r.to_payload()) for i, r in got] == [
             (i, name, payload)
             for i, (name, payload) in enumerate(_golden())

@@ -3,7 +3,7 @@ wire protocol, daemon round trips.
 
 The acceptance bar is *byte identity*: a rewrite computed on the
 daemon's compute thread and revived client-side from wire payloads
-must equal the in-process `SuggestionService.rewrite_sources` result
+must equal the in-process `SuggestionService.stream_sources` result
 exactly — same pragmas, same refusal codes, same rewritten text.
 """
 
@@ -14,7 +14,7 @@ import pytest
 
 from repro.client import ClientError, connect
 from repro.rewrite import FileRewrite
-from repro.serve import SuggestionService, SuggestServer, protocol
+from repro.serve import REWRITE, Job, SuggestionService, SuggestServer, protocol
 
 SUM_SOURCE = """
 double a[64], b[64]; double s;
@@ -69,32 +69,32 @@ def server(service):
 
 
 class TestServiceRewrites:
-    """In-process `SuggestionService.rewrite_*` semantics."""
+    """In-process rewrite-job semantics of `SuggestionService`."""
 
     def test_verified_codes_per_file(self, service):
-        results = service.rewrite_sources(NAMED)
+        results = list(service.stream_sources(NAMED, job=REWRITE))
         assert [fr.name for fr in results] == ["sum.c", "scan.c"]
         sum_codes = [r.code for r in results[0].rewrites]
         assert sum_codes == ["verified", "verified"]
         assert [r.code for r in results[1].rewrites] == ["divergence"]
 
     def test_reduction_clause_synthesized(self, service):
-        fr = service.rewrite_sources([("sum.c", SUM_SOURCE)])[0]
+        fr = list(service.stream_sources([("sum.c", SUM_SOURCE)], job=REWRITE))[0]
         assert fr.rewrites[1].pragma == \
             "#pragma omp parallel for reduction(+:s)"
         assert "reduction(+:s)" in fr.rewritten_source
 
     def test_refused_file_has_no_pragma(self, service):
-        fr = service.rewrite_sources([("scan.c", PREFIX_SOURCE)])[0]
+        fr = list(service.stream_sources([("scan.c", PREFIX_SOURCE)], job=REWRITE))[0]
         assert fr.n_accepted == 0 and fr.n_refused == 1
         assert "#pragma" not in fr.rewritten_source
 
     def test_stream_matches_batch(self, service):
         streamed = list(service.stream_rewrite_sources(NAMED))
-        assert streamed == service.rewrite_sources(NAMED)
+        assert streamed == list(service.stream_sources(NAMED, job=REWRITE))
 
     def test_verify_false_skips_the_gate(self, service):
-        results = service.rewrite_sources(NAMED, verify=False)
+        results = list(service.stream_sources(NAMED, job=Job("rewrite", verify=False)))
         codes = [r.code for fr in results for r in fr.rewrites]
         assert codes == ["unverified"] * 3
         # the divergent scan now carries a (wrong) pragma: the verifier
@@ -102,21 +102,21 @@ class TestServiceRewrites:
         assert "#pragma" in results[1].rewritten_source
 
     def test_frontend_error_passthrough(self, service):
-        fr = service.rewrite_sources([("bad.c", BAD_SOURCE)])[0]
+        fr = list(service.stream_sources([("bad.c", BAD_SOURCE)], job=REWRITE))[0]
         assert fr.error is not None and fr.rewrites == []
 
     def test_deterministic_across_calls(self, service):
-        a = service.rewrite_sources(NAMED)
-        b = service.rewrite_sources(NAMED)
+        a = list(service.stream_sources(NAMED, job=REWRITE))
+        b = list(service.stream_sources(NAMED, job=REWRITE))
         assert a == b
 
     def test_sharded_matches_in_process(self, service):
-        sharded = list(service.stream_rewrite_sources(NAMED, shards=2))
-        assert sharded == service.rewrite_sources(NAMED)
+        sharded = list(service.stream_sources(NAMED, shards=2, job=REWRITE))
+        assert sharded == list(service.stream_sources(NAMED, job=REWRITE))
 
     def test_verifier_counters_surface(self):
         service = _service()
-        results = service.rewrite_sources(NAMED)
+        results = list(service.stream_sources(NAMED, job=REWRITE))
         verify = service.cache_stats()["verify"]
         assert verify["simulations"] > 0
         assert verify["compiled_runs"] > 0
@@ -128,8 +128,8 @@ class TestServiceRewrites:
 
     def test_sharded_run_distributes_verification(self):
         service = _service()
-        sharded = list(service.stream_rewrite_sources(NAMED, shards=2))
-        assert sharded == _service().rewrite_sources(NAMED)
+        sharded = list(service.stream_sources(NAMED, shards=2, job=REWRITE))
+        assert sharded == list(_service().stream_sources(NAMED, job=REWRITE))
         # the workers' verifier counters fold back into the parent
         verify = service.cache_stats()["verify"]
         assert verify["simulations"] > 0
@@ -143,10 +143,10 @@ class TestServiceRewrites:
                 store=SuggestionStore(tmp_path / "cache"))
 
         cold = _stored_service()
-        cold_results = cold.rewrite_sources(NAMED)
+        cold_results = list(cold.stream_sources(NAMED, job=REWRITE))
         assert cold.cache_stats()["verify"]["simulations"] > 0
         warm = _stored_service()
-        warm_results = warm.rewrite_sources(NAMED)
+        warm_results = list(warm.stream_sources(NAMED, job=REWRITE))
         assert warm_results == cold_results
         verify = warm.cache_stats()["verify"]
         assert verify["simulations"] == 0
@@ -203,37 +203,38 @@ class TestDaemonRewrites:
             assert client.capabilities.get("rewrite") is True
 
     def test_round_trip_matches_in_process(self, service, server):
-        golden = service.rewrite_sources(NAMED)
+        golden = list(service.stream_sources(NAMED, job=REWRITE))
         with connect(server.address) as client:
-            served = client.rewrite_sources(NAMED)
+            served = client.suggest_sources(NAMED, job=REWRITE)
         assert served == golden
         assert json.dumps([fr.to_payload() for fr in served]) == \
             json.dumps([fr.to_payload() for fr in golden])
 
     def test_streaming_matches_batch(self, server):
         with connect(server.address) as client:
-            streamed = list(client.stream_rewrite_sources(NAMED))
-            batched = client.rewrite_sources(NAMED)
+            streamed = list(client.stream_sources(NAMED, job=REWRITE))
+            batched = client.suggest_sources(NAMED, job=REWRITE)
         assert streamed == batched
 
     def test_verify_flag_travels(self, service, server):
         with connect(server.address) as client:
-            served = client.rewrite_sources(NAMED, verify=False)
-        assert served == service.rewrite_sources(NAMED, verify=False)
+            served = client.suggest_sources(NAMED, job=Job("rewrite", verify=False))
+        assert served == list(service.stream_sources(
+            NAMED, job=Job("rewrite", verify=False)))
         codes = [r.code for fr in served for r in fr.rewrites]
         assert codes == ["unverified"] * 3
 
     def test_error_files_survive_the_wire(self, service, server):
         mixed = NAMED + [("bad.c", BAD_SOURCE)]
         with connect(server.address) as client:
-            served = client.rewrite_sources(mixed)
-        assert served == service.rewrite_sources(mixed)
+            served = client.suggest_sources(mixed, job=REWRITE)
+        assert served == list(service.stream_sources(mixed, job=REWRITE))
         assert served[2].error is not None
 
     def test_suggest_still_works_on_same_connection(self, server):
         # the additive request must not disturb the existing kind
         with connect(server.address) as client:
-            rewrites = client.rewrite_sources(NAMED)
+            rewrites = client.suggest_sources(NAMED, job=REWRITE)
             suggestions = client.suggest_sources(NAMED)
         assert isinstance(rewrites[0], FileRewrite)
         assert len(suggestions[0].suggestions) == 2
@@ -244,10 +245,10 @@ class TestDaemonRewrites:
             caps.pop("rewrite")
             client.capabilities = caps
             with pytest.raises(ClientError) as err:
-                client.rewrite_sources(NAMED)
+                client.suggest_sources(NAMED, job=REWRITE)
         assert err.value.code == "rewrite-unsupported"
 
     def test_done_frame_counts_rewrite_files(self, server):
         with connect(server.address) as client:
-            list(client.stream_rewrite_sources(NAMED))
+            list(client.stream_sources(NAMED, job=REWRITE))
             assert client.last_done.files == len(NAMED)

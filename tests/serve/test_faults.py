@@ -23,6 +23,7 @@ import pytest
 
 from repro.client import ClientError, RetryPolicy, connect
 from repro.serve import (
+    REWRITE,
     Fault,
     FaultPlan,
     ServeConfig,
@@ -103,7 +104,7 @@ def arm(monkeypatch):
 class TestWorkerChaos:
     def test_sigkilled_worker_run_is_byte_identical(self, arm):
         named = _corpus(6)
-        clean = _renders(_service().suggest_sources(named))
+        clean = _renders(list(_service().stream_sources(named)))
         # shard 0's worker dies the hard way after its first result
         arm(Fault("kill-worker", sid=0, after_files=1))
         survived = list(_service(
@@ -113,7 +114,7 @@ class TestWorkerChaos:
 
     def test_hung_worker_is_detected_by_heartbeat_timeout(self, arm):
         named = _corpus(6)
-        clean = _renders(_service().suggest_sources(named))
+        clean = _renders(list(_service().stream_sources(named)))
         # the worker stops heartbeating and sleeps: only the
         # supervisor's heartbeat timeout can notice this one
         arm(Fault("hang-worker", sid=0, after_files=1))
@@ -129,8 +130,8 @@ class TestWorkerChaos:
     def test_poison_file_is_quarantined_after_two_deaths(self, arm):
         named = _corpus(6, poison="poison.c")
         clean = {name: render for name, _, render in
-                 _renders(_service().suggest_sources(
-                     [nv for nv in named if nv[0] != "poison.c"]))}
+                 _renders(list(_service().stream_sources(
+                     [nv for nv in named if nv[0] != "poison.c"])))}
         # every worker that touches poison.c dies — batch first, then
         # its careful retry; two deaths pin the blame
         arm(Fault("poison-file", match="poison", times=8))
@@ -150,11 +151,11 @@ class TestWorkerChaos:
     def test_rewrites_survive_a_worker_kill_byte_identically(self, arm):
         named = _corpus(4)
         clean = [(r.name, r.error, r.rewritten_source)
-                 for r in _service().rewrite_sources(named)]
+                 for r in _service().stream_sources(named, job=REWRITE)]
         arm(Fault("kill-worker", sid=0, after_files=1))
         survived = list(_service(
             heartbeat_s=5.0, retry_backoff_s=0.01,
-        ).stream_rewrite_sources(named, shards=2, ordered=True))
+        ).stream_sources(named, shards=2, ordered=True, job=REWRITE))
         assert [(r.name, r.error, r.rewritten_source)
                 for r in survived] == clean
 

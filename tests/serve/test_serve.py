@@ -1,5 +1,7 @@
 """Tests for the batched suggestion service (repro.serve)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,12 @@ void scale(void) {
 """
 
 BAD_SOURCE = "void broken(void) { for (i = 0; i < ; }"
+
+
+def _read_dir(directory):
+    """Every ``*.c`` file under ``directory`` as sorted ``(name, source)``
+    pairs — the corpus ``repro suggest-dir`` reads."""
+    return [(str(p), p.read_text()) for p in sorted(Path(directory).rglob("*.c"))]
 
 
 class _StubModel:
@@ -117,9 +125,9 @@ class TestSuggestionService:
     def test_one_predict_call_per_model(self):
         parallel, clauses = _stub_models(parallel=1, reduction=1)
         service = SuggestionService(parallel, clauses)
-        results = service.suggest_sources(
+        results = list(service.stream_sources(
             [("a.c", GOOD_SOURCE), ("b.c", OTHER_SOURCE)]
-        )
+        ))
         assert [len(r.suggestions) for r in results] == [2, 1]
         # three loops across two files: exactly one batched call per model
         assert parallel.calls == [3]
@@ -129,7 +137,7 @@ class TestSuggestionService:
     def test_matches_per_loop_suggester(self):
         parallel, clauses = _stub_models(parallel=1, reduction=1, private=1)
         service = SuggestionService(parallel, clauses)
-        batched = service.suggest_sources([("a.c", GOOD_SOURCE)])[0]
+        batched = list(service.stream_sources([("a.c", GOOD_SOURCE)]))[0]
         baseline = PragmaSuggester(parallel, clauses).suggest_file(GOOD_SOURCE)
         assert [s.render() for s in batched.suggestions] == \
                [s.render() for s in baseline]
@@ -137,9 +145,9 @@ class TestSuggestionService:
     def test_error_files_fan_out_empty(self):
         parallel, clauses = _stub_models()
         service = SuggestionService(parallel, clauses)
-        results = service.suggest_sources(
+        results = list(service.stream_sources(
             [("a.c", GOOD_SOURCE), ("broken.c", BAD_SOURCE)]
-        )
+        ))
         assert results[1].error is not None
         assert results[1].suggestions == []
         assert len(results[0].suggestions) == 2
@@ -151,9 +159,9 @@ class TestSuggestionService:
                    for name in ("reduction", "private")}
         service = SuggestionService(parallel, clauses)
         # duplicated file: its requests dedupe before reaching the models
-        results = service.suggest_sources(
+        results = list(service.stream_sources(
             [("a.c", GOOD_SOURCE), ("b.c", GOOD_SOURCE)]
-        )
+        ))
         assert [len(r.suggestions) for r in results] == [2, 2]
         assert len(service._caches) == 1
         stats = next(iter(service.cache_stats().values()))
@@ -172,7 +180,7 @@ class TestSuggestionService:
         parallel, clauses = _stub_models(parallel=1)
         service = SuggestionService(parallel, clauses,
                                     ServeConfig(workers=1))
-        results = service.suggest_dir(tmp_path)
+        results = list(service.stream_sources(_read_dir(tmp_path)))
         assert [r.name.endswith(("k1.c", "k2.c")) for r in results] == \
                [True, True]
         assert sum(len(r.suggestions) for r in results) == 3

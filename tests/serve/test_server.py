@@ -10,6 +10,7 @@ import socket
 import struct
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +41,17 @@ void scale(void) {
 """
 
 BAD_SOURCE = "void broken(void) { for (i = 0; i < ; }"
+
+
+def _read_dir(directory):
+    """Every ``*.c`` file under ``directory`` as sorted ``(name, source)``
+    pairs — the corpus ``repro suggest-dir`` reads."""
+    return [(str(p), p.read_text()) for p in sorted(Path(directory).rglob("*.c"))]
+
+
+def _server_side(**where):
+    """A batch request naming files on the daemon's own filesystem."""
+    return protocol.SuggestRequest(stream=False, **where)
 
 
 class _StubModel:
@@ -215,7 +227,7 @@ class TestServing:
     def test_round_trip_matches_in_process(self, server):
         named = [("a.c", GOOD_SOURCE), ("b.c", OTHER_SOURCE),
                  ("broken.c", BAD_SOURCE)]
-        local = _service().suggest_sources(named)
+        local = list(_service().stream_sources(named))
         with connect(server.address) as client:
             batch = client.suggest_sources(named)
             streamed = list(client.stream_sources(named))
@@ -282,13 +294,14 @@ class TestServing:
         travel client → server — but only under an opted-in root."""
         (tmp_path / "a.c").write_text(GOOD_SOURCE)
         (tmp_path / "b.c").write_text(OTHER_SOURCE)
-        local = _service().suggest_dir(tmp_path)
+        local = list(_service().stream_sources(_read_dir(tmp_path)))
         with SuggestServer({"default": _service()},
                            local_roots=(tmp_path,)).start() as srv:
             with connect(srv.address) as client:
                 assert client.capabilities["server_side_paths"] is True
-                batch = client.suggest_server_dir(tmp_path)
-                streamed = list(client.stream_server_dir(tmp_path))
+                batch = client.submit(_server_side(dir=str(tmp_path)))
+                streamed = list(client.submit(
+                    protocol.SuggestRequest(dir=str(tmp_path))))
         for remote in (batch, streamed):
             assert [r.to_payload() for r in remote] == \
                 [r.to_payload() for r in local]
@@ -299,7 +312,7 @@ class TestServing:
         with SuggestServer({"default": _service()},
                            local_roots=(tmp_path,)).start() as srv:
             with connect(srv.address) as client:
-                results = client.suggest_server_paths([path])
+                results = client.submit(_server_side(paths=(str(path),)))
         assert results[0].name == str(path)
         assert len(results[0].suggestions) == 2
 
@@ -311,7 +324,7 @@ class TestServing:
         with connect(server.address) as client:
             assert client.capabilities["server_side_paths"] is False
             with pytest.raises(ClientError) as exc:
-                client.suggest_server_dir(tmp_path)
+                client.submit(_server_side(dir=str(tmp_path)))
             assert exc.value.code == "bad-request"
             assert "disabled" in str(exc.value)
 
@@ -324,20 +337,20 @@ class TestServing:
                            local_roots=(corpus,)).start() as srv:
             with connect(srv.address) as client:
                 with pytest.raises(ClientError) as exc:
-                    client.suggest_server_paths([secret])
+                    client.submit(_server_side(paths=(str(secret),)))
                 assert exc.value.code == "bad-request"
                 assert "outside" in str(exc.value)
                 # .. escapes are resolved before the check
                 with pytest.raises(ClientError):
-                    client.suggest_server_paths(
-                        [corpus / ".." / "secret.c"])
+                    client.submit(_server_side(
+                        paths=(str(corpus / ".." / "secret.c"),)))
 
     def test_server_side_missing_dir_refused(self, tmp_path):
         with SuggestServer({"default": _service()},
                            local_roots=(tmp_path,)).start() as srv:
             with connect(srv.address) as client:
                 with pytest.raises(ClientError) as exc:
-                    client.suggest_server_dir(tmp_path / "nope")
+                    client.submit(_server_side(dir=str(tmp_path / "nope")))
                 assert exc.value.code == "bad-request"
                 # request-level refusal: connection still serves
                 assert client.suggest_sources([]) == []
@@ -347,7 +360,7 @@ class TestServing:
                            local_roots=(tmp_path,)).start() as srv:
             with connect(srv.address) as client:
                 with pytest.raises(ClientError) as exc:
-                    client.suggest_server_paths([tmp_path / "ghost.c"])
+                    client.submit(_server_side(paths=(str(tmp_path / "ghost.c"),)))
                 assert exc.value.code == "bad-request"
 
     def test_abandoned_stream_does_not_poison_the_connection(

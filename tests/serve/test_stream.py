@@ -11,6 +11,7 @@ still surfaces as a clean :class:`ServeError` with its traceback.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,12 @@ void scale(void) {
 """
 
 BAD_SOURCE = "void broken(void) { for (i = 0; i < ; }"
+
+
+def _read_dir(directory):
+    """Every ``*.c`` file under ``directory`` as sorted ``(name, source)``
+    pairs — the corpus ``repro suggest-dir`` reads."""
+    return [(str(p), p.read_text()) for p in sorted(Path(directory).rglob("*.c"))]
 
 
 class _StubModel:
@@ -99,7 +106,7 @@ class TestStreamingEquivalence:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_sharded_ordered_matches_batch(self, shards):
         named = _corpus(7)
-        batch = _service().suggest_sources(named)
+        batch = list(_service().stream_sources(named))
         streamed = list(_service().stream_sources(named, ordered=True,
                                                   shards=shards))
         assert _renders(streamed) == _renders(batch)
@@ -118,21 +125,21 @@ class TestStreamingEquivalence:
         for name, source in _corpus(4):
             (tmp_path / name).write_text(source)
         service = _service(shards=2)
-        collected = service.suggest_dir(tmp_path)
-        streamed = list(_service(shards=2).stream_dir(tmp_path))
+        collected = list(service.stream_sources(_read_dir(tmp_path)))
+        streamed = list(_service(shards=2).stream_sources(_read_dir(tmp_path)))
         assert _renders(streamed) == _renders(collected)
 
     def test_config_shards_used_by_default(self):
         named = _corpus(4)
-        batch = _service().suggest_sources(named)
-        via_config = _service(shards=2).suggest_sources(named)
+        batch = list(_service().stream_sources(named))
+        via_config = list(_service(shards=2).stream_sources(named))
         assert _renders(via_config) == _renders(batch)
 
     def test_shards_compose_with_parse_workers(self):
         # daemonic shard workers cannot host a nested parse pool; the
         # spec must strip config.workers instead of crashing the shard
         named = _corpus(6)
-        batch = _service().suggest_sources(named)
+        batch = list(_service().stream_sources(named))
         combined = list(_service(workers=2).stream_sources(
             named, ordered=True, shards=2,
         ))
@@ -161,7 +168,7 @@ class TestSharedStore:
         cold = _service(store=SuggestionStore(tmp_path / "cache"))
         cold_results = list(cold.stream_sources(named, shards=2))
         warm = _service(store=SuggestionStore(tmp_path / "cache"))
-        warm_results = warm.suggest_sources(named)
+        warm_results = list(warm.stream_sources(named))
         assert warm.cache_stats()["forwards"] == {"calls": 0, "graphs": 0}
         assert _renders(warm_results) == _renders(cold_results)
 

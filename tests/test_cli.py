@@ -6,6 +6,30 @@ import pytest
 
 from repro.cli import dataset_main, eval_main, main, train_main
 
+#: exact key order of the per-file records (``--out`` and ``--stream``)
+#: and of the ``--stream`` done record: both subcommands share one
+#: driver, and these pin every output byte it writes
+RECORD_KEYS = {
+    "suggest-dir": ["file", "error", "suggestions"],
+    "rewrite-dir": ["file", "error", "rewrites", "rewritten_source"],
+}
+DONE_KEYS = {
+    "suggest-dir": ["event", "files", "loops", "errors", "elapsed_s"],
+    "rewrite-dir": ["event", "files", "loops", "accepted", "refused",
+                    "errors", "elapsed_s"],
+}
+#: in-process rewrite runs append the verifier counters
+VERIFIER_KEYS = ["verifier", "simulations"]
+
+
+def _dead_address() -> str:
+    """A closed ephemeral port: connection refused, not a hang."""
+    import socket
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return "127.0.0.1:%d" % probe.getsockname()[1]
+
 
 class TestDatasetCLI:
     def test_generates_and_saves(self, tmp_path, capsys):
@@ -270,6 +294,17 @@ class TestSuggestDirCLI:
     }
     """
 
+    NEST = """
+    float in_[4096][4096];
+    double M = 0.0;
+    int jj;
+    void clear(void) {
+        for (jj = 0; jj < 1024; jj++)
+            for (int n = 0; n < M; n++)
+                in_[jj][n] = 0;
+    }
+    """
+
     def test_suggests_over_directory(self, tmp_path, capsys):
         src_dir = tmp_path / "corpus"
         src_dir.mkdir()
@@ -287,12 +322,7 @@ class TestSuggestDirCLI:
         payload = json.loads(out.read_text())
         assert len(payload) == 1
         assert len(payload[0]["suggestions"]) == 2
-
-    def test_empty_directory_fails(self, tmp_path, capsys):
-        code = main(["suggest-dir", str(tmp_path), "--scale", "0.005",
-                     "--epochs", "1", "--dim", "16"])
-        assert code == 1
-        assert "no files" in capsys.readouterr().out
+        assert list(payload[0]) == RECORD_KEYS["suggest-dir"]
 
     def test_sharded_output_is_byte_identical(self, tmp_path, capsys):
         """Acceptance: --shards N matches the single-process path
@@ -301,6 +331,7 @@ class TestSuggestDirCLI:
         src_dir.mkdir()
         (src_dir / "k1.c").write_text(self.SOURCE)
         (src_dir / "k2.c").write_text(self.OTHER)
+        (src_dir / "nest.c").write_text(self.NEST)
         flags = ["--scale", "0.005", "--epochs", "1", "--dim", "16",
                  "--quiet"]
         single = tmp_path / "single.json"
@@ -310,6 +341,19 @@ class TestSuggestDirCLI:
         assert main(["suggest-dir", str(src_dir), *flags,
                      "--shards", "4", "--out", str(sharded)]) == 0
         assert sharded.read_bytes() == single.read_bytes()
+
+        # a bundle loaded from disk reaches shard workers as a path;
+        # they must list each loop's clause families in the service's
+        # own order (the nest gets reduction *and* private)
+        bundle = tmp_path / "bundle"
+        assert main(["train", *flags[:-1], "--bundle-out", str(bundle)]) == 0
+        outs = []
+        for shards in ("1", "4"):
+            outs.append(tmp_path / f"bundle-{shards}.json")
+            assert main(["suggest-dir", str(src_dir), "--bundle",
+                         str(bundle), "--quiet", "--shards", shards,
+                         "--out", str(outs[-1])]) == 0
+        assert outs[1].read_bytes() == outs[0].read_bytes()
 
     def test_shards_auto_is_byte_identical(self, tmp_path, capsys):
         """--shards auto picks a safe count (in-process on this corpus)
@@ -353,6 +397,8 @@ class TestSuggestDirCLI:
         # stdout is pure NDJSON: one record per file, then one final
         # summary record marking clean end-of-stream
         done = records.pop()
+        assert list(done) == DONE_KEYS["suggest-dir"]
+        assert all(list(r) == RECORD_KEYS["suggest-dir"] for r in records)
         assert done["event"] == "done"
         assert done["files"] == 3
         assert done["loops"] == 3
@@ -389,44 +435,6 @@ class TestServerCLI:
         service = SuggestionService(Stub(1), {"reduction": Stub(0)})
         return SuggestServer({"advisor": service})
 
-    def test_server_round_trip_is_byte_identical(self, tmp_path, capsys):
-        """Acceptance: --server output matches the in-process path
-        byte for byte."""
-        import json
-
-        from repro.eval.config import ExperimentConfig
-        from repro.eval.context import get_context
-        from repro.serve import ServeConfig, SuggestServer, build_service
-
-        src_dir = tmp_path / "corpus"
-        src_dir.mkdir()
-        (src_dir / "k1.c").write_text(TestSuggestDirCLI.SOURCE)
-        (src_dir / "k2.c").write_text(TestSuggestDirCLI.OTHER)
-        golden = tmp_path / "golden.json"
-        assert main(["suggest-dir", str(src_dir), *self.FLAGS,
-                     "--quiet", "--out", str(golden)]) == 0
-
-        # the daemon serves the same (process-cached) trained models
-        ctx = get_context(ExperimentConfig(scale=0.005, seed=7,
-                                           epochs=1, dim=16))
-        service = build_service(ctx, ServeConfig())
-        with SuggestServer({"default": service}).start() as srv:
-            served = tmp_path / "served.json"
-            assert main(["suggest-dir", str(src_dir),
-                         "--server", srv.address,
-                         "--quiet", "--out", str(served)]) == 0
-            assert served.read_bytes() == golden.read_bytes()
-
-            # --stream through the daemon: NDJSON + final done record
-            capsys.readouterr()
-            assert main(["suggest-dir", str(src_dir),
-                         "--server", srv.address, "--stream"]) == 0
-            out, err = capsys.readouterr()
-            records = [json.loads(line) for line in out.splitlines()]
-            assert records[-1]["event"] == "done"
-            assert records[-1]["files"] == 2
-            assert "3 loops across 2 files" in err
-
     def test_server_bundle_name_selected(self, tmp_path, capsys):
         src_dir = tmp_path / "corpus"
         src_dir.mkdir()
@@ -450,20 +458,6 @@ class TestServerCLI:
         err = capsys.readouterr().err
         assert "does not serve bundle" in err
         assert "advisor" in err
-
-    def test_unreachable_server_fails_cleanly(self, tmp_path, capsys):
-        (tmp_path / "k.c").write_text(TestSuggestDirCLI.SOURCE)
-        # a closed ephemeral port: connection refused, not a hang
-        import socket
-
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        code = main(["suggest-dir", str(tmp_path),
-                     "--server", f"127.0.0.1:{port}"])
-        assert code == 2
-        assert "cannot reach server" in capsys.readouterr().err
 
     def test_bad_server_address_fails_cleanly(self, tmp_path, capsys):
         (tmp_path / "k.c").write_text(TestSuggestDirCLI.SOURCE)
@@ -516,6 +510,7 @@ class TestRewriteDirCLI:
         text = capsys.readouterr().out
         assert "3 loops across 2 files" in text
         payload = json.loads(out.read_text())
+        assert all(list(p) == RECORD_KEYS["rewrite-dir"] for p in payload)
         by_name = {p["file"].rsplit("/", 1)[-1]: p for p in payload}
         # the sum loop gets its synthesized reduction clause...
         kernel = by_name["kernel.c"]
@@ -562,6 +557,8 @@ class TestRewriteDirCLI:
         out, err = capsys.readouterr()
         records = [json.loads(line) for line in out.splitlines()]
         done = records.pop()
+        assert list(done) == DONE_KEYS["rewrite-dir"] + VERIFIER_KEYS
+        assert all(list(r) == RECORD_KEYS["rewrite-dir"] for r in records)
         assert done["event"] == "done"
         assert done["files"] == 2
         assert done["loops"] == 3
@@ -597,52 +594,90 @@ class TestRewriteDirCLI:
 
         assert key(warm) == key(cold)
 
-    def test_empty_directory_fails(self, tmp_path, capsys):
-        code = main(["rewrite-dir", str(tmp_path), *self.FLAGS])
+
+@pytest.mark.parametrize("command", ["suggest-dir", "rewrite-dir"])
+class TestDirCommandsCLI:
+    """What `suggest-dir` and `rewrite-dir` share through their one
+    driver: corpus reading, backends and failure handling."""
+
+    FLAGS = ["--scale", "0.005", "--epochs", "1", "--dim", "16"]
+
+    def test_empty_directory_fails(self, command, tmp_path, capsys):
+        code = main([command, str(tmp_path), *self.FLAGS])
         assert code == 1
         assert "no files" in capsys.readouterr().out
 
-    def test_server_round_trip_is_byte_identical(self, tmp_path, capsys):
+    def test_unreadable_file_fails_cleanly(self, command, tmp_path,
+                                           capsys):
+        """The corpus is read once, before any backend: a file that is
+        not UTF-8 is a clean exit 2 for every backend, never a
+        traceback."""
+        (tmp_path / "k.c").write_text(TestSuggestDirCLI.SOURCE)
+        bad = tmp_path / "latin1.c"
+        bad.write_bytes(b"/* caf\xe9 */\nvoid f(void) {}\n")
+        for backend in ([], ["--server", _dead_address()]):
+            assert main([command, str(tmp_path), *self.FLAGS,
+                         *backend]) == 2
+            err = capsys.readouterr().err
+            assert f"cannot read {bad}: " in err
+            assert "Traceback" not in err
+
+    def test_unreachable_server_fails_cleanly(self, command, tmp_path,
+                                              capsys):
+        (tmp_path / "k.c").write_text(TestSuggestDirCLI.SOURCE)
+        code = main([command, str(tmp_path), "--server", _dead_address()])
+        assert code == 2
+        assert "cannot reach server" in capsys.readouterr().err
+
+    def test_server_round_trip_is_byte_identical(self, command, tmp_path,
+                                                 capsys):
         """Acceptance: --server output matches the in-process path
         byte for byte."""
+        import json
+
         from repro.eval.config import ExperimentConfig
         from repro.eval.context import get_context
         from repro.serve import ServeConfig, SuggestServer, build_service
 
-        src_dir = self._corpus(tmp_path)
+        src_dir = tmp_path / "corpus"
+        src_dir.mkdir()
+        (src_dir / "k1.c").write_text(TestSuggestDirCLI.SOURCE)
+        (src_dir / "k2.c").write_text(TestSuggestDirCLI.OTHER)
         golden = tmp_path / "golden.json"
-        assert main(["rewrite-dir", str(src_dir), *self.FLAGS,
+        assert main([command, str(src_dir), *self.FLAGS,
                      "--quiet", "--out", str(golden)]) == 0
 
+        # the daemon serves the same (process-cached) trained models
         ctx = get_context(ExperimentConfig(scale=0.005, seed=7,
                                            epochs=1, dim=16))
         service = build_service(ctx, ServeConfig())
         with SuggestServer({"default": service}).start() as srv:
             served = tmp_path / "served.json"
-            assert main(["rewrite-dir", str(src_dir),
+            assert main([command, str(src_dir),
                          "--server", srv.address,
                          "--quiet", "--out", str(served)]) == 0
             assert served.read_bytes() == golden.read_bytes()
 
-            # --no-verify travels the wire too
-            unverified = tmp_path / "unverified.json"
-            assert main(["rewrite-dir", str(src_dir),
-                         "--server", srv.address, "--no-verify",
-                         "--quiet", "--out", str(unverified)]) == 0
-            assert unverified.read_bytes() != golden.read_bytes()
+            # --stream through the daemon: NDJSON + final done record
+            capsys.readouterr()
+            assert main([command, str(src_dir),
+                         "--server", srv.address, "--stream"]) == 0
+            out, err = capsys.readouterr()
+            records = [json.loads(line) for line in out.splitlines()]
+            assert list(records[-1]) == DONE_KEYS[command]
+            assert all(list(r) == RECORD_KEYS[command]
+                       for r in records[:-1])
+            assert records[-1]["event"] == "done"
+            assert records[-1]["files"] == 2
+            assert "3 loops across 2 files" in err
 
-    def test_unreachable_server_fails_cleanly(self, tmp_path, capsys):
-        import socket
-
-        (tmp_path / "k.c").write_text(TestSuggestDirCLI.SOURCE)
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        code = main(["rewrite-dir", str(tmp_path),
-                     "--server", f"127.0.0.1:{port}"])
-        assert code == 2
-        assert "cannot reach server" in capsys.readouterr().err
+            if command == "rewrite-dir":
+                # --no-verify travels the wire too
+                unverified = tmp_path / "unverified.json"
+                assert main([command, str(src_dir),
+                             "--server", srv.address, "--no-verify",
+                             "--quiet", "--out", str(unverified)]) == 0
+                assert unverified.read_bytes() != golden.read_bytes()
 
 
 class TestUmbrellaCLI:
