@@ -21,6 +21,11 @@ Usage::
 Exit status: 0 when nothing regressed, 1 on any regression or any
 baselined bench that emitted no fresh artifact (a bench silently
 dropping out of CI must not pass the gate).
+
+``--update`` refuses, naming the file and promoting nothing, any
+artifact that records ``shards`` or ``peers`` ≥ 2 without ``cpus`` ≥ 2:
+workers or peers cannot overlap on one CPU, so such a "speedup" would
+baseline the scheduler instead of the scaling.
 """
 
 from __future__ import annotations
@@ -50,6 +55,15 @@ def _load(path: Path) -> dict | None:
         return json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return None
+
+
+def _single_cpu_scaling(artifact: dict | None) -> bool:
+    """Whether ``artifact`` measured shards or peers on fewer than 2 CPUs."""
+    if artifact is None:
+        return False
+    parallel = max(int(artifact.get("shards") or 0),
+                   int(artifact.get("peers") or 0))
+    return parallel >= 2 and int(artifact.get("cpus") or 0) < 2
 
 
 def compare(fresh_dir: Path, baseline_dir: Path,
@@ -137,7 +151,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.update:
-        for path in sorted(args.fresh_dir.glob("BENCH_*.json")):
+        fresh = sorted(args.fresh_dir.glob("BENCH_*.json"))
+        refused = [p for p in fresh if _single_cpu_scaling(_load(p))]
+        for path in refused:
+            print(f"refusing to baseline {path}: it measures shards or "
+                  f"peers on fewer than 2 cpus", file=sys.stderr)
+        if refused:
+            return 1
+        for path in fresh:
             target = args.baseline_dir / path.name
             target.write_text(path.read_text())
             print(f"baseline updated: {target}")

@@ -3,22 +3,20 @@
 Two claims about the serving fleet are measured against real
 ``repro serve`` daemon subprocesses on localhost:
 
-- *peer scaling*: fanning a corpus out across 2 peers
-  (``stream_fabric``) must finish at least ``REQUIRED_SPEEDUP``×
-  faster than relaying the same corpus through 1 peer — the compute
-  happens in the daemons, so with ≥2 cores two peers overlap where
-  one serializes;
+- *peer scaling* (``peer_speedup``): the wall of relaying a corpus
+  through 1 peer over the wall of fanning it out across 2 peers
+  (``stream_fabric``) — the compute happens in the daemons, so with
+  ≥2 cores two peers overlap where one serializes;
 - *warm network store*: a service mounting a daemon's store over the
   wire (``cache_dir="net:ADDR"``) must replay a warm corpus with
   **zero** model forwards, and the warm run's wall clock bounds the
   per-file network-hit latency (``warm_hit_ms``).
 
 Results must be byte-identical to the in-process pipeline at every
-peer count, always.  On a single-core runner the scaling assertion is
-skipped (two daemons cannot overlap without a second core), but the
-``BENCH_fabric.json`` trajectory artifact is emitted either way;
-``peer_speedup`` and ``warm_net_speedup`` are the headline metrics
-``check_regression.py`` gates on.
+peer count, always.  ``peer_speedup`` depends on the host's cores, so
+it is not asserted here: ``check_regression.py`` gates it, with
+``warm_net_speedup``, against the ``BENCH_fabric.json`` baseline
+recorded on ≥2 CPUs.
 """
 
 import os
@@ -34,7 +32,6 @@ from repro.dataset.corpus import CorpusGenerator
 from repro.fabric import stream_fabric
 from repro.serve import ServeConfig, SuggestServer, build_service
 
-REQUIRED_SPEEDUP = 1.5
 MIN_WARM_SPEEDUP = 1.5
 MIN_FILES = 8
 
@@ -175,6 +172,3 @@ def test_fabric_scaling(benchmark, context, tmp_path):
     # the warm contract: every file replays from the fleet store
     assert result["warm_forwards"] == 0
     assert result["warm_net_speedup"] >= MIN_WARM_SPEEDUP
-    if (os.cpu_count() or 1) >= 2:
-        # the whole point: two peers beat one peer
-        assert result["peer_speedup"] >= REQUIRED_SPEEDUP

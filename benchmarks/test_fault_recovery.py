@@ -5,15 +5,15 @@ corpus: fault-free, and with a deterministic
 :class:`~repro.serve.faults.FaultPlan` that SIGKILLs shard 0's worker
 after its first file.  The supervisor detects the death, respawns the
 shard in careful mode, and re-serves only the unfinished files — so
-the faulted run must stay byte-identical and its wall clock must stay
-within ``MAX_OVERHEAD``× the clean run (recovery re-forks one worker
+the faulted run must stay byte-identical (recovery re-forks one worker
 and replays the killed shard's remainder; it never redoes completed
 work or aborts the run).
 
 Headline metric: ``recovery_efficiency = clean_s / faulted_s`` — the
 fraction of fault-free throughput retained under a worker kill
 (higher is better, 1.0 would mean a free recovery), emitted to
-``BENCH_faults.json`` and gated by ``check_regression.py``.
+``BENCH_faults.json``.  It is a wall-clock ratio, so
+``check_regression.py`` gates it rather than an assert here.
 """
 
 import os
@@ -24,7 +24,6 @@ from conftest import read_dir, run_once, write_bench_artifact
 from repro.dataset.corpus import CorpusGenerator
 from repro.serve import Fault, FaultPlan, ServeConfig, build_service, faults
 
-MAX_OVERHEAD = 2.5
 MIN_FILES = 8
 SHARDS = 2
 
@@ -105,6 +104,3 @@ def test_fault_recovery(benchmark, context, tmp_path):
     assert result["files"] >= MIN_FILES
     # grounding: a worker kill must not change a single byte
     assert result["identical"]
-    # recovery replays one shard's remainder after one respawn; it must
-    # never cost more than MAX_OVERHEAD of the fault-free run
-    assert result["recovery_overhead"] <= MAX_OVERHEAD

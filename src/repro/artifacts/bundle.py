@@ -62,8 +62,8 @@ class SuggesterBundle:
     clause_models: dict[str, object]
     experiment: dict | None = field(default=None)
     #: where this bundle was loaded from (directory or archive), when
-    #: it came from disk — shard workers reload the artifact from here
-    #: instead of receiving pickled weights
+    #: it came from disk — a registry content-addresses an archive by
+    #: hashing the file here
     source_path: str | None = field(default=None, compare=False,
                                     repr=False)
 
@@ -140,7 +140,7 @@ class SuggesterBundle:
         to a temporary directory first (everything — vocab, configs,
         weights — is materialised in memory, so nothing outlives the
         extraction).  Either way the loaded bundle records its
-        ``source_path`` so shard workers can re-load the same artifact.
+        ``source_path``.
         """
         from repro.serve import faults
 

@@ -192,24 +192,20 @@ class SuggestionService:
     suggestions skip parsing *and* inference entirely, and cached
     parse results survive model swaps.
 
-    ``bundle_path`` names the on-disk bundle the models were loaded
-    from (when there is one): shard workers then reload the artifact
-    themselves instead of receiving pickled weights, which keeps the
-    spawn payload tiny.
+    Shard workers serve these same model objects (see
+    :class:`~repro.serve.worker.WorkerSpec`), so sharded output never
+    depends on what is on disk after the models were loaded.
     """
 
     def __init__(self, parallel_model, clause_models: dict,
                  config: ServeConfig | None = None,
-                 store: SuggestionStore | None = None,
-                 bundle_path: str | Path | None = None) -> None:
+                 store: SuggestionStore | None = None) -> None:
         self.config = config or ServeConfig()
         self.store = store
         self._model_key = self._compute_model_key(
             parallel_model, clause_models, require=store is not None,
         )
         self._source_models = (parallel_model, dict(clause_models))
-        self._bundle_path = (None if bundle_path is None
-                             else str(bundle_path))
         self._caches: dict[tuple, object] = {}
         self._collate_cache: dict = {}
         self._forwards = {"calls": 0, "graphs": 0}
@@ -445,19 +441,14 @@ class SuggestionService:
         from repro.serve.worker import WorkerSpec
 
         store_root = None if self.store is None else str(self.store.base)
-        parallel, clause_models = self._source_models
         return WorkerSpec(
             # shard workers are daemonic: they can neither re-shard nor
             # host a nested parse pool, and sharding already owns the
             # process-level parallelism
             config=replace(self.config, shards=1, workers=1),
             store_root=store_root,
-            bundle_path=self._bundle_path,
-            models=(None if self._bundle_path is not None
-                    else (parallel, clause_models)),
-            # the service's own order, never sorted: the suggester
-            # lists each loop's clause families in this order
-            clauses=tuple(clause_models),
+            # free under fork, a few MB of pickle under spawn
+            models=self._source_models,
             job=job,
         )
 
@@ -524,10 +515,11 @@ def build_service(source, config: ServeConfig | None = None,
     so warm runs over unchanged files skip parsing and inference
     entirely.  A ``cache_dir`` of the form ``net:HOST:PORT`` mounts a
     remote daemon's store instead of a local directory
-    (:func:`~repro.serve.store.open_store`).
+    (:func:`~repro.serve.store.open_store`).  Shard workers serve the
+    returned service's own in-memory models, so a bundle's files may
+    change or vanish after it was loaded without changing any output.
     """
     store = open_store(cache_dir) if cache_dir is not None else None
-    bundle_path = None
     if hasattr(source, "graph_model"):
         parallel = source.graph_model(representation="aug", task="parallel")
         clause_models = {
@@ -536,9 +528,6 @@ def build_service(source, config: ServeConfig | None = None,
         }
     else:
         parallel = source.parallel
-        # A bundle loaded from disk records where: shard workers then
-        # reload the artifact instead of receiving pickled weights.
-        bundle_path = getattr(source, "source_path", None)
         if clauses is None:
             clause_models = dict(source.clause_models)
         else:
@@ -549,5 +538,4 @@ def build_service(source, config: ServeConfig | None = None,
                     f"available: {sorted(source.clause_models)}"
                 )
             clause_models = {c: source.clause_models[c] for c in clauses}
-    return SuggestionService(parallel, clause_models, config, store=store,
-                             bundle_path=bundle_path)
+    return SuggestionService(parallel, clause_models, config, store=store)

@@ -1,13 +1,13 @@
 """Shard worker: one process, one slice of the corpus, full pipeline.
 
 A worker rebuilds the complete suggestion service from a picklable
-:class:`WorkerSpec` — either by reloading the on-disk
-:class:`~repro.artifacts.SuggesterBundle` the parent served from (the
-cheap path: the spawn payload is one path string, the artifact loads
-strictly and identically everywhere) or from directly pickled trained
-models when no artifact exists (train-on-the-fly services, test stubs).
-It then runs parse → encode → block-diagonal forward → fan-out
-*locally* for its shard, consults and commits the shared persistent
+:class:`WorkerSpec` carrying the parent's own in-memory models —
+inherited for free under ``fork``, pickled under ``spawn`` — so every
+worker serves exactly the weights the parent serves, however they were
+loaded, and never touches the bundle on disk.  It pins the OpenBLAS
+numpy loaded to one thread first: N workers already fill N cores.  It
+then runs parse → encode → block-diagonal forward → fan-out *locally*
+for its shard, consults and commits the shared persistent
 :class:`~repro.serve.store.SuggestionStore` exactly like the in-process
 path, and streams per-file results back over the result queue as they
 complete.
@@ -38,7 +38,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 
-from repro.serve import faults
+from repro.serve import _blas, faults
 from repro.serve.job import SUGGEST, Job
 from repro.serve.pipeline import ServeConfig, SuggestionService
 from repro.serve.store import open_store
@@ -51,12 +51,10 @@ _BEAT_S = 0.5
 class WorkerSpec:
     """Everything a worker needs to rebuild the serving service.
 
-    Exactly one of ``bundle_path`` / ``models`` is populated:
-    ``bundle_path`` ships a path to a saved bundle (directory or
-    archive) that the worker loads itself; ``models`` ships the
-    ``(parallel_model, clause_models)`` pair by pickle.  ``clauses``
-    restricts which clause families a bundle-backed worker serves, so
-    workers agree with the parent's model key.
+    ``models`` is the parent service's ``(parallel_model,
+    clause_models)`` pair, clause families in the parent's order, so
+    workers share its model key and its suggestion layout.  Only a
+    remote-mode spec (``peers``) carries none.
 
     ``job`` (:class:`~repro.serve.job.Job`) selects what the worker
     streams back: suggestions, or rewrites applied and verified inside
@@ -77,29 +75,16 @@ class WorkerSpec:
 
     config: ServeConfig
     store_root: str | None = None
-    bundle_path: str | None = None
     models: tuple | None = None
-    clauses: tuple[str, ...] = field(default_factory=tuple)
     job: Job = SUGGEST
     peers: tuple[str, ...] = field(default_factory=tuple)
     peer_bundles: tuple[str | None, ...] = field(default_factory=tuple)
     peer_timeout_s: float = 600.0
 
     def build_service(self) -> SuggestionService:
-        if self.bundle_path is not None:
-            from repro.artifacts import SuggesterBundle
-
-            bundle = SuggesterBundle.load(self.bundle_path)
-            parallel = bundle.parallel
-            clause_models = {
-                name: bundle.clause_models[name] for name in self.clauses
-            }
-        elif self.models is not None:
-            parallel, clause_models = self.models
-        else:
-            raise ValueError(
-                "WorkerSpec names neither a bundle path nor models"
-            )
+        if self.models is None:
+            raise ValueError("WorkerSpec carries no models to serve")
+        parallel, clause_models = self.models
         store = (open_store(self.store_root)
                  if self.store_root is not None else None)
         return SuggestionService(parallel, dict(clause_models),
@@ -164,6 +149,9 @@ def worker_main(spec: WorkerSpec, shard, queue,
     all of this; the supervisor catches them via exit codes and the
     heartbeat going silent.
     """
+    # N shard workers already fill N cores; per-worker BLAS pools
+    # would only oversubscribe them
+    _blas.pin_one_thread()
     heartbeat_s = getattr(spec.config, "heartbeat_s", 30.0)
     interval = min(_BEAT_S, max(0.05, heartbeat_s / 4.0))
     heartbeat = _Heartbeat(shard.sid, queue, interval)

@@ -302,6 +302,26 @@ class TestSuggesterBundle:
         assert results[0].error is None
         assert len(results[0].suggestions) == 1
 
+    def test_sharding_ignores_bundle_files_after_load(self, tmp_path):
+        import shutil
+
+        from repro.serve import build_service
+
+        self._bundle().save(tmp_path / "b")
+        loaded = SuggesterBundle.load(tmp_path / "b")
+        service = build_service(loaded)
+        shutil.rmtree(tmp_path / "b")
+        named = [(f"k{i}.c", "void f(void) { int i; double s, a[32];"
+                  f" for (i = 0; i < {8 + i}; i++) s += a[i]; }}")
+                 for i in range(4)]
+
+        def dump(results):
+            return [json.dumps([fs.name, fs.to_payload()], sort_keys=True)
+                    for fs in results]
+
+        in_process = dump(build_service(loaded).stream_sources(named))
+        assert dump(service.stream_sources(named, shards=2)) == in_process
+
     def test_build_service_clause_subset(self, tmp_path):
         from repro.serve import build_service
 

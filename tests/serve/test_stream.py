@@ -23,6 +23,7 @@ from repro.serve import (
     SuggestionService,
     SuggestionStore,
     WorkerSpec,
+    _blas,
     merge_results,
 )
 
@@ -215,8 +216,34 @@ class TestWorkerFailure:
             list(service.stream_sources(named, shards=2))
 
     def test_spec_without_source_is_an_error(self):
-        with pytest.raises(ValueError, match="neither"):
+        with pytest.raises(ValueError, match="no models"):
             WorkerSpec(config=ServeConfig()).build_service()
+
+
+class _BlasProbeModel(_StubModel):
+    """Records, per process it predicts in, the OpenBLAS thread count."""
+
+    def __init__(self, value: int, name: str, out_dir) -> None:
+        super().__init__(value, name)
+        self.out_dir = str(out_dir)
+
+    def predict_samples(self, samples):
+        Path(self.out_dir, str(os.getpid())).write_text(str(_blas.threads()))
+        return super().predict_samples(samples)
+
+
+class TestWorkerBlas:
+    def test_shard_workers_run_one_blas_thread(self, tmp_path):
+        before = _blas.threads()
+        if before is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS the helper finds")
+        service = _service(parallel=_BlasProbeModel(1, "probe", tmp_path))
+        list(service.stream_sources(_corpus(4), shards=2))
+        seen = {int(p.name): p.read_text() for p in tmp_path.iterdir()}
+        assert seen and os.getpid() not in seen
+        assert set(seen.values()) == {"1"}
+        # the pin is the worker's own: the parent's pool is untouched
+        assert _blas.threads() == before
 
 
 class TestMergeResults:
