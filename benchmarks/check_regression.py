@@ -37,7 +37,7 @@ from pathlib import Path
 
 #: artifact name -> headline metrics (higher is better, ratio-scaled)
 HEADLINES: dict[str, tuple[str, ...]] = {
-    "BENCH_concurrency.json": ("throughput_speedup",),
+    "BENCH_concurrency.json": ("throughput_speedup", "solo_window_speedup"),
     "BENCH_fabric.json": ("peer_speedup", "warm_net_speedup"),
     "BENCH_faults.json": ("recovery_efficiency",),
     "BENCH_listen.json": ("speedup",),

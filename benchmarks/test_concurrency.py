@@ -18,14 +18,17 @@ TCP:
 - **coalesced**: N clients on N connections firing simultaneously
   into the micro-batch window.
 
-It also pins the two promises that make coalescing safe to ship:
+It also covers the two promises that make coalescing safe to ship:
 per-request replies are byte-identical to a fresh in-process pipeline
-run, and a *single* client skips the batch window entirely
-(flush-on-idle), so solo latency does not regress.
+run (asserted), and a *single* client skips the batch window entirely
+(flush-on-idle), so solo latency does not regress.  That second one is
+a wall-clock ratio, ``solo_window_speedup`` (no-window p50 ÷ window
+p50), so it is gated by ``check_regression.py``, not asserted here.
 
 Results land in ``BENCH_concurrency.json`` for the CI perf trajectory.
 """
 
+import os
 import statistics
 import threading
 import time
@@ -37,9 +40,6 @@ from repro.serve import ServeConfig, SuggestServer, build_service
 
 #: coalesced throughput must beat the lock-serialized floor by this
 REQUIRED_SPEEDUP = 1.5
-#: single-client p50 latency with the window on vs off (flush-on-idle
-#: means the window never applies to a lone client)
-MAX_SOLO_OVERHEAD = 1.10
 
 N_CLIENTS = 8
 #: measurement repetitions (fresh sources each, medians reported)
@@ -168,6 +168,7 @@ def _concurrency(context, tmp_path) -> dict:
     serial_total_s = statistics.median(serial_totals)
     conc_total_s = statistics.median(conc_totals)
     return {
+        "cpus": os.cpu_count(),
         "clients": N_CLIENTS,
         "files_per_client": 1,
         "trials": TRIALS,
@@ -184,9 +185,11 @@ def _concurrency(context, tmp_path) -> dict:
         if conc_total_s else 0.0,
         "solo_p50_window_ms": round(solo_window_ms, 3),
         "solo_p50_nowindow_ms": round(solo_nowindow_ms, 3),
-        "solo_overhead_ratio": round(
-            solo_window_ms / solo_nowindow_ms, 3)
-        if solo_nowindow_ms else 0.0,
+        # flush-on-idle: the batch window must not tax a lone client
+        # (≈1.0; higher is better)
+        "solo_window_speedup": round(
+            solo_nowindow_ms / solo_window_ms, 3)
+        if solo_window_ms else 0.0,
         "byte_identical": identical,
         "last_round_coalesce": coalesce,
     }
@@ -199,8 +202,8 @@ def test_concurrency(benchmark, context, tmp_path):
     print(f"\nconcurrency: {result['clients']} clients, coalesced "
           f"{result['coalesced_total_ms']}ms vs serialized "
           f"{result['serialized_total_ms']}ms "
-          f"({result['throughput_speedup']}x), solo overhead "
-          f"{result['solo_overhead_ratio']}x -> {path}")
+          f"({result['throughput_speedup']}x), solo window speedup "
+          f"{result['solo_window_speedup']}x -> {path}")
 
     assert result["clients"] >= 8
     assert result["byte_identical"]
@@ -208,5 +211,3 @@ def test_concurrency(benchmark, context, tmp_path):
     assert result["last_round_coalesce"]["requests"] > \
         result["last_round_coalesce"]["rounds"]
     assert result["throughput_speedup"] >= REQUIRED_SPEEDUP
-    # flush-on-idle: the batch window must not tax a lone client
-    assert result["solo_overhead_ratio"] <= MAX_SOLO_OVERHEAD

@@ -78,19 +78,19 @@ def _function_loop_samples(
 
 
 def extract_loops_by_function(
-    source: str,
+    tu,
     origin: str = "github",
     file_id: int = -1,
     file_meta: dict | None = None,
 ):
-    """Per-function loop extraction: ``[(function, samples), ...]``.
+    """Per-function loop extraction from a parsed translation unit:
+    ``[(function, samples), ...]``.  The unit is left as it was.
 
     Grouping by function keeps file-level analyses (liveness for
     ``lastprivate``) aligned with their loops even when one function
     misbehaves — consumers can fall back per function instead of
     dropping context for the whole file.
     """
-    tu = parse_source(source)
     return [
         (fn, _function_loop_samples(fn, origin, file_id, file_meta))
         for fn in tu.functions()
@@ -113,7 +113,8 @@ def extract_loops_from_source(
     return [
         sample
         for _, samples in extract_loops_by_function(
-            source, origin=origin, file_id=file_id, file_meta=file_meta,
+            parse_source(source), origin=origin, file_id=file_id,
+            file_meta=file_meta,
         )
         for sample in samples
     ]

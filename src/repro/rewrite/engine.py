@@ -1,10 +1,12 @@
 """The rewrite pass: suggestions in, verified transformed C out.
 
 :func:`rewrite_file` consumes one file's :class:`FileSuggestions` (from
-any serving path — in-process, sharded, daemon), re-parses the file,
-aligns every suggestion with its outermost loop (the same
-function-by-function walk :func:`repro.suggest.file_requests` uses),
-and for each predicted-parallel loop: synthesizes the clause plan
+any serving path — in-process, sharded, daemon).  Fresh suggestions
+carry their file's parse, so the file is not parsed again; only
+suggestions replayed from the store or revived from the wire are
+re-parsed and aligned with the file's outermost loops (the same
+function-by-function walk :func:`repro.suggest.file_requests` uses).
+For each predicted-parallel loop the pass synthesizes the clause plan
 (:mod:`repro.rewrite.clauses`), verifies it against the interpreter
 (:mod:`repro.rewrite.verify`), and — only on acceptance — attaches the
 pragma to the AST.  The result carries per-loop outcomes plus the
@@ -216,6 +218,21 @@ def rewrite_loop(loop_source: str,
                     stats=stats)
 
 
+def _parsed_requests(file_suggestions, suggestions) -> list | None:
+    """The :class:`~repro.suggest.LoopRequest` behind each suggestion
+    when the suggestions carry the in-process parse they were computed
+    from (``FileSuggestions.parsed``), else ``None``."""
+    parsed = getattr(file_suggestions, "parsed", None)
+    if parsed is None or parsed.tu is None:
+        return None
+    requests = parsed.requests
+    if len(requests) != len(suggestions) or any(
+            r.ast is None or r.source != s.loop_source
+            for r, s in zip(requests, suggestions)):
+        return None
+    return requests
+
+
 def rewrite_file(name: str, source: str, file_suggestions, *,
                  verify: bool = True,
                  config: VerifyConfig | None = None,
@@ -224,11 +241,16 @@ def rewrite_file(name: str, source: str, file_suggestions, *,
 
     ``file_suggestions`` is a
     :class:`~repro.serve.pipeline.FileSuggestions` (or anything with
-    ``suggestions`` / ``error``).  Suggestions align with the file's
-    outermost loops in extraction order; a mismatch refuses with
-    ``misaligned`` rather than guessing.  The returned
-    ``rewritten_source`` is the whole file with accepted pragmas
-    attached — refused and sequential loops keep their original text.
+    ``suggestions`` / ``error``).  Fresh suggestions carry the parse
+    they were computed from, and each loop and its live-out set come
+    straight from it.  Suggestions replayed from the store, revived
+    from the wire or parsed in a pool worker carry none: the file is
+    parsed again and each suggestion aligned with its outermost loop in
+    extraction order, where a mismatch refuses with ``misaligned``
+    rather than guessing.  The returned ``rewritten_source`` is the
+    whole file with accepted pragmas attached — refused and sequential
+    loops keep their original text.  A shared parse is left as it came:
+    every pragma attached here is restored before returning.
 
     ``store`` (optional, duck-typed) serves cached verdicts; ``stats``
     (optional dict) accumulates the verifier counters also attached to
@@ -239,50 +261,67 @@ def rewrite_file(name: str, source: str, file_suggestions, *,
                           file_suggestions)
     if error is not None:
         return FileRewrite(name=name, error=error)
-    try:
-        tu = parse_source(source)
-    except (LexError, ParseError) as exc:
-        return FileRewrite(name=name, error=str(exc))
-    located: list[tuple[object, object]] = []      # (function, loop)
-    for fn in tu.functions():
-        if fn.body is None:
-            continue
-        for loop in _outermost_loops(fn.body):
-            located.append((fn, loop))
-    if len(located) != len(suggestions):
-        detail = (f"file has {len(located)} outermost loops but "
-                  f"{len(suggestions)} suggestions")
-        return FileRewrite(
-            name=name,
-            rewrites=[LoopRewrite(loop_source=s.loop_source,
-                                  accepted=False, code="misaligned",
-                                  detail=detail)
-                      for s in suggestions],
-            rewritten_source=unparse(tu),
-        )
+    requests = _parsed_requests(file_suggestions, suggestions)
+    if requests is not None:
+        tu = file_suggestions.parsed.tu
+        loops = [r.ast for r in requests]
+    else:
+        try:
+            tu = parse_source(source)
+        except (LexError, ParseError) as exc:
+            return FileRewrite(name=name, error=str(exc))
+        functions = []
+        loops = []
+        for fn in tu.functions():
+            if fn.body is None:
+                continue
+            for loop in _outermost_loops(fn.body):
+                functions.append(fn)
+                loops.append(loop)
+        if len(loops) != len(suggestions):
+            detail = (f"file has {len(loops)} outermost loops but "
+                      f"{len(suggestions)} suggestions")
+            return FileRewrite(
+                name=name,
+                rewrites=[LoopRewrite(loop_source=s.loop_source,
+                                      accepted=False, code="misaligned",
+                                      detail=detail)
+                          for s in suggestions],
+                rewritten_source=unparse(tu),
+            )
     fstats = {"simulations": 0, "compiled_runs": 0,
               "interpreted_runs": 0, "cached_verdicts": 0,
               "elapsed_s": 0.0}
     rewrites: list[LoopRewrite] = []
-    for (fn, loop), suggestion in zip(located, suggestions):
-        if not suggestion.parallel:
-            rewrites.append(LoopRewrite(
-                loop_source=suggestion.loop_source, accepted=False,
-                code="not-parallel", detail=suggestion.rationale))
-            continue
-        if _strip_unparse(loop) != suggestion.loop_source:
-            rewrites.append(LoopRewrite(
-                loop_source=suggestion.loop_source, accepted=False,
-                code="misaligned",
-                detail="suggestion does not describe the loop at this "
-                       "position"))
-            continue
-        live_out = frozenset(scalars_read_after(fn.body, loop))
-        rewrites.append(_attempt(loop, suggestion.loop_source, live_out,
-                                 verify=verify, config=config,
-                                 store=store, stats=fstats))
+    saved = [(loop, loop.pragmas) for loop in loops]
+    try:
+        for k, (loop, suggestion) in enumerate(zip(loops, suggestions)):
+            if not suggestion.parallel:
+                rewrites.append(LoopRewrite(
+                    loop_source=suggestion.loop_source, accepted=False,
+                    code="not-parallel", detail=suggestion.rationale))
+                continue
+            if requests is None \
+                    and _strip_unparse(loop) != suggestion.loop_source:
+                rewrites.append(LoopRewrite(
+                    loop_source=suggestion.loop_source, accepted=False,
+                    code="misaligned",
+                    detail="suggestion does not describe the loop at "
+                           "this position"))
+                continue
+            live_out = (requests[k].live_out if requests is not None
+                        else frozenset(scalars_read_after(
+                            functions[k].body, loop)))
+            rewrites.append(_attempt(loop, suggestion.loop_source,
+                                     live_out, verify=verify,
+                                     config=config, store=store,
+                                     stats=fstats))
+        rewritten_source = unparse(tu)
+    finally:
+        for loop, pragmas in saved:
+            loop.pragmas = pragmas
     if stats is not None:
         for key, value in fstats.items():
             stats[key] = stats.get(key, 0) + value
     return FileRewrite(name=name, rewrites=rewrites,
-                       rewritten_source=unparse(tu), verifier=fstats)
+                       rewritten_source=rewritten_source, verifier=fstats)

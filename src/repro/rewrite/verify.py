@@ -31,14 +31,16 @@ the daemon and the in-process path produce byte-identical verdicts.
 pipeline; three structural changes close most of that gap without
 moving a single observable bit:
 
-- loops execute through :func:`repro.tools.compile.compile_loop` —
-  one lowering shared by the sequential reference and every simulated
-  run — falling back to the tree-walker whenever compilation is
-  unavailable (``config.compiled=False``, ``REPRO_NO_LOOP_COMPILE``,
-  or an uncompilable shape);
-- simulated-parallel runs only compare observable end-state, so they
-  run the *trace-elided* compiled body (no per-access bookkeeping);
-  the sequential reference keeps exact trip accounting, and
+- loop bodies execute through one function compiled by
+  :func:`repro.tools.compile.compile_loop`: every simulated run calls
+  it per iteration, and so does the sequential reference, whose loop
+  header (init, condition, increment, ``max_trip`` cap) the
+  interpreter runs — falling back to the tree-walker whenever
+  compilation is unavailable (``config.compiled=False``,
+  ``REPRO_NO_LOOP_COMPILE``, or an uncompilable shape);
+- only observable end-state is compared, so every run executes the
+  *trace-elided* body (no per-access bookkeeping); the sequential
+  reference keeps exact trip and step accounting, and
   :meth:`Interpreter.run_loop` still produces full traces for the
   dependence analyses;
 - input synthesis and iteration-space enumeration happen once per
@@ -281,19 +283,41 @@ def _poison(thread: int) -> float:
     return -10_000_007.0 - 7.0 * thread
 
 
-def _run_reference(interp: Interpreter, loop, compiled,
+def _drive_loop(interp: Interpreter, loop, run_body) -> int:
+    """The target loop as :meth:`Interpreter._exec_loop` runs it — the
+    header (init, condition, increment, ``max_trip`` cap) through the
+    interpreter, each iteration through ``run_body`` — without trace
+    bookkeeping; returns the trip count.  Only canonical loops get
+    here: they have a condition and an increment, and never
+    ``break``."""
+    trips = 0
+    if loop.init is not None:
+        interp.exec_stmt(loop.init)
+    while interp.eval(loop.cond):
+        trips += 1
+        run_body(interp)
+        interp.eval(loop.inc)
+        if trips >= interp.max_trip:
+            break
+    return trips
+
+
+def _run_reference(interp: Interpreter, loop, compiled, prepared,
                    stats: dict | None) -> int:
     """The sequential reference over an already-prepared interpreter;
-    returns the executed trip count.  Uses the trace-elided compiled
-    run when available (end-state and step accounting are identical;
-    nothing reads the reference trace here)."""
+    returns the executed trip count.  Runs the compiled body under the
+    interpreter's loop header when available (end state, step
+    accounting and trip count are identical; nothing reads the
+    reference trace here), else — or when the body cannot run
+    compiled — the tree-walker from the ``prepared`` checkpoint."""
     if compiled is not None:
         try:
-            trips = compiled.run(interp, traced=False)
+            trips = _drive_loop(interp, loop, compiled.run_body)
             _bump(stats, "compiled_runs")
             return trips
         except CompileUnavailable:
-            pass
+            interp.memory.restore(prepared)
+            interp.steps = 0
     _bump(stats, "interpreted_runs")
     interp._target_loop = loop
     interp._exec_loop(loop, traced=True)
@@ -434,7 +458,8 @@ def verify_loop(loop: Stmt, plan: ClausePlan,
         try:
             interp.prepare(loop)
             prepared = interp.memory.checkpoint()
-            ref_iterations = _run_reference(interp, loop, compiled, stats)
+            ref_iterations = _run_reference(interp, loop, compiled,
+                                            prepared, stats)
             ref = _snapshot(interp.memory, exclude)
             interp.memory.restore(prepared)
             interp.steps = 0

@@ -5,7 +5,9 @@ large corpora, so this stage can fan out over a process pool.  Workers
 exchange only plain picklable payloads (loop sources + live-out name
 sets wrapped in :class:`~repro.suggest.LoopRequest`), never AST
 objects; files the frontend rejects come back as per-file errors, the
-way the paper's pipeline dropped files Clang rejected.
+way the paper's pipeline dropped files Clang rejected.  An in-process
+parse keeps each file's translation unit beside its requests, so a
+rewrite attaches pragmas to that parse instead of parsing again.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
-from repro.cfront import ParseError
+from repro.cfront import ParseError, TranslationUnit, parse_source
 from repro.cfront.lexer import LexError
 from repro.suggest import LoopRequest, file_requests
 
@@ -26,6 +28,13 @@ class ParsedFile:
     name: str
     requests: list[LoopRequest] = field(default_factory=list)
     error: str | None = None
+    #: the translation unit the requests' ``ast`` statements belong to,
+    #: in process only: never in a payload, the store or a pickle
+    tu: TranslationUnit | None = field(default=None, compare=False,
+                                       repr=False)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "tu"}
 
     def to_payload(self) -> dict:
         """JSON-safe payload for the persistent parse cache.
@@ -59,12 +68,15 @@ def parse_one(item: tuple[str, str], with_asts: bool = True) -> ParsedFile:
     """(name, source) → extracted loop requests, or a per-file error.
 
     ``with_asts=False`` keeps the requests plain (no attached loop
-    statements) so they pickle cheaply across process boundaries.
+    statements, no translation unit) so they pickle cheaply across
+    process boundaries.
     """
     name, source = item
     try:
+        tu = parse_source(source)
         return ParsedFile(
-            name=name, requests=file_requests(source, with_asts=with_asts),
+            name=name, requests=file_requests(tu, with_asts=with_asts),
+            tu=tu if with_asts else None,
         )
     except (ParseError, LexError, RecursionError) as exc:
         return ParsedFile(name=name,

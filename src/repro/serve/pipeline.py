@@ -73,6 +73,13 @@ class FileSuggestions:
     name: str
     suggestions: list[Suggestion] = field(default_factory=list)
     error: str | None = None
+    #: the parse the suggestions were computed from: a rewrite reuses
+    #: its translation unit (present only for an in-process parse)
+    #: instead of parsing the file again.  ``None`` for suggestions
+    #: replayed from the store or revived from the wire; never in
+    #: ``to_payload``
+    parsed: ParsedFile | None = field(default=None, compare=False,
+                                      repr=False)
 
     @property
     def n_parallel(self) -> int:
@@ -306,7 +313,7 @@ class SuggestionService:
         for i, pf, (lo, hi) in zip(pending, parsed, spans):
             fs = FileSuggestions(name=pf.name,
                                  suggestions=suggestions[lo:hi],
-                                 error=pf.error)
+                                 error=pf.error, parsed=pf)
             if store is not None:
                 store.put_suggestions(self._model_key, keys[i],
                                       fs.to_payload())
@@ -350,8 +357,7 @@ class SuggestionService:
         self._coalesce["deduped_files"] += total_files - len(distinct)
         for di, fs in self.iter_sources(distinct):
             for tag, i, name in subscribers[di]:
-                out = fs if fs.name == name else FileSuggestions(
-                    name=name, suggestions=fs.suggestions, error=fs.error)
+                out = fs if fs.name == name else replace(fs, name=name)
                 yield tag, i, out
 
     def iter_rewrites(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cfg.analysis import scalars_read_after
-from repro.cfront import ParseError
+from repro.cfront import ParseError, parse_source
 from repro.cfront.nodes import Stmt
 from repro.dataset.extract import _outermost_loops, extract_loops_by_function
 from repro.dataset.sample import LoopSample
@@ -249,11 +249,12 @@ class PragmaSuggester:
         suggested as ``lastprivate`` rather than ``private``.  Parsing
         errors propagate — callers drop uncompilable files.
         """
-        return self.suggest_batch(file_requests(source))
+        return self.suggest_batch(file_requests(parse_source(source)))
 
 
-def file_requests(source: str, with_asts: bool = True) -> list[LoopRequest]:
-    """Every outermost loop of a C file as a :class:`LoopRequest`.
+def file_requests(tu, with_asts: bool = True) -> list[LoopRequest]:
+    """Every outermost loop of a parsed C file (its translation unit)
+    as a :class:`LoopRequest`.
 
     Loops are paired with per-function liveness so suggestion paths
     (single-file and batched serving) share one extraction/alignment
@@ -267,7 +268,7 @@ def file_requests(source: str, with_asts: bool = True) -> list[LoopRequest]:
     requests must cross a process boundary.
     """
     requests: list[LoopRequest] = []
-    for fn, samples in extract_loops_by_function(source):
+    for fn, samples in extract_loops_by_function(tu):
         loops = _outermost_loops(fn.body)
         aligned = len(loops) == len(samples)
         for i, sample in enumerate(samples):

@@ -4,9 +4,14 @@
 method dispatch, one ``isinstance`` chain and one budget tick per node
 per visit.  That is the dominant cost of differential verification
 (`rewrite/verify.py`), which re-executes every candidate loop dozens of
-times.  :func:`compile_loop` lowers a loop **once** into generated
-Python source (compiled to a code object), sharing the interpreter's
-exact memory model, step accounting and trace format:
+times.  :func:`compile_loop` lowers a loop's body **once** into one
+generated Python function (compiled to a code object) that runs one
+iteration, sharing the interpreter's exact memory model, step
+accounting and trace format.  The verifier drives the loop header
+(init, condition, increment, trip cap) through the interpreter and
+every iteration through that function; the traced whole-loop form the
+parity suite compares against the tree-walker is generated only on
+its first :meth:`CompiledLoop.run`.
 
 - every value is computed by the same primitive semantics
   (:meth:`Interpreter._apply` is replicated by ``_div``/``_mod``/...),
@@ -17,9 +22,9 @@ exact memory model, step accounting and trace format:
   raises :class:`ExecutionBudgetExceeded` iff the tree-walker would
   (the exact raise *point* inside a straight-line segment may differ —
   only post-refusal state, which nothing observes, is affected);
-- the traced variant appends the same :class:`AccessEvent` stream the
-  tree-walker records; the fast variants skip all trace bookkeeping
-  (the verifier's trace-elision);
+- the traced whole loop appends the same :class:`AccessEvent` stream
+  the tree-walker records; the body function skips all trace
+  bookkeeping (the verifier's trace-elision);
 - constructs the generator does not inline (``DeclStmt``) are
   *delegated* back to the live :class:`Interpreter` node-by-node, and
   constructs the interpreter itself refuses compile into raise sites
@@ -580,28 +585,28 @@ class _Codegen:
 
     def emit_run(self, fname: str) -> str:
         """The whole target loop, as ``Interpreter._exec_loop`` runs it
-        for the traced target (trip cap, iteration accounting)."""
+        for the traced target (trip cap, iteration accounting, access
+        events); ``record`` must be set."""
         loop = self.loop
         self.line("it = 0")
         if loop.init is not None:
-            saved, self.record = self.record, False
+            self.record = False
             self.st(loop.init)
-            self.record = saved
+            self.record = True
         self.flush()
         self.line("_brk0 = False")
         self.line("while True:")
         self.indent += 1
         self.check()
         if loop.cond is not None:
-            self.guard_ci = self.record
+            self.guard_ci = True
             cond = self.ex(loop.cond)
             self.guard_ci = False
             self.flush()
             self.line(f"if not ({cond}): break")
-        if self.record:
-            self.line("CI = it")
-            self.line("I.current_iteration = it")
-            self.line("TR.iterations = it + 1")
+        self.line("CI = it")
+        self.line("I.current_iteration = it")
+        self.line("TR.iterations = it + 1")
         self.line("it += 1")
         self._body_once(loop.body, "_brk0")
         self.line("if _brk0: break")
@@ -613,9 +618,8 @@ class _Codegen:
         self.line("pass")
         self.indent -= 1
         self.check()
-        if self.record:
-            self.line("CI = -1")
-            self.line("I.current_iteration = -1")
+        self.line("CI = -1")
+        self.line("I.current_iteration = -1")
         self.line("return it")
         return self._render(fname)
 
@@ -636,73 +640,77 @@ class _Codegen:
 
 
 class CompiledLoop:
-    """One loop lowered to three Python functions sharing the
-    interpreter's memory model: the full target loop traced / untraced,
-    and a single untraced body execution."""
+    """One loop lowered to a Python function sharing the interpreter's
+    memory model: a single untraced body execution.  The traced whole
+    target loop is generated on the first :meth:`run`."""
 
-    __slots__ = ("loop", "source", "_traced", "_fast", "_body")
+    __slots__ = ("loop", "source", "_body", "_traced")
 
-    def __init__(self, loop, source: str, traced, fast, body) -> None:
+    def __init__(self, loop, source: str, body) -> None:
         self.loop = loop
         self.source = source
-        self._traced = traced
-        self._fast = fast
         self._body = body
+        self._traced = None
 
-    def run(self, interp: Interpreter, traced: bool) -> int:
-        """Execute the whole (prepared) target loop; returns the trip
-        count.  ``traced=True`` additionally records the interpreter's
-        exact access-event stream and trace iteration count.  Raises
+    def run(self, interp: Interpreter, traced: bool = True) -> int:
+        """Execute the whole (prepared) target loop as
+        :meth:`Interpreter.run_loop` does, recording its exact
+        access-event stream and trace iteration count; returns the trip
+        count.  Only the traced form exists: an untraced whole-loop run
+        is the interpreter's loop header around :meth:`run_body` (the
+        verifier's sequential reference).  Raises
         :class:`CompileUnavailable` — before touching any state — when
         a referenced name is not allocated; callers fall back to
         :meth:`Interpreter._exec_loop`.
         """
-        fn = self._traced if traced else self._fast
-        it = fn(interp)
-        if traced:
-            interp.trace.scalar_bases = {
-                name for name, (_, shape) in interp.memory.bases.items()
-                if not shape
-            }
+        if not traced:
+            raise ValueError("only the traced whole loop is compiled; "
+                             "drive the header around run_body instead")
+        if self._traced is None:
+            gen = _Codegen(self.loop, record=True)
+            self._traced = _load(gen, gen.emit_run("_run_traced"),
+                                 "_run_traced")
+        it = self._traced(interp)
+        interp.trace.scalar_bases = {
+            name for name, (_, shape) in interp.memory.bases.items()
+            if not shape
+        }
         return it
 
     def run_body(self, interp: Interpreter) -> None:
-        """One untraced body execution (a simulated-parallel
-        iteration); top-level ``continue`` is absorbed exactly like
-        ``exec_stmt`` under a ``_ContinueSignal`` catch."""
+        """One untraced body execution (one iteration of the loop);
+        top-level ``continue`` is absorbed exactly like ``exec_stmt``
+        under a ``_ContinueSignal`` catch, and a top-level ``break``
+        raises :class:`~repro.tools.interp._BreakSignal`.  Raises
+        :class:`CompileUnavailable` before touching any state when a
+        referenced name is not allocated."""
         self._body(interp)
+
+
+def _load(gen: _Codegen, code: str, fname: str):
+    """Compile ``gen``'s generated ``code`` and return its function."""
+    namespace = {
+        "_EBE": ExecutionBudgetExceeded,
+        "_AE": AccessEvent,
+        "_BS": _BreakSignal,
+        "_CU": CompileUnavailable,
+        "_call": _call,
+        "_div": _div,
+        "_mod": _mod,
+        "_unsup": _unsup,
+        **gen.bindings,
+    }
+    exec(compile(code, "<repro.tools.compile>", "exec"), namespace)
+    return namespace[fname]
 
 
 def _compile(loop) -> CompiledLoop | None:
     if not isinstance(loop, ForStmt):
         return None
     try:
-        gens = [
-            _Codegen(loop, record=True),
-            _Codegen(loop, record=False),
-            _Codegen(loop, record=False),
-        ]
-        sources = [
-            gens[0].emit_run("_run_traced"),
-            gens[1].emit_run("_run_fast"),
-            gens[2].emit_body("_run_body"),
-        ]
-        namespace = {
-            "_EBE": ExecutionBudgetExceeded,
-            "_AE": AccessEvent,
-            "_BS": _BreakSignal,
-            "_CU": CompileUnavailable,
-            "_call": _call,
-            "_div": _div,
-            "_mod": _mod,
-            "_unsup": _unsup,
-        }
-        for gen in gens:
-            namespace.update(gen.bindings)
-        code = "\n\n".join(sources)
-        exec(compile(code, "<repro.tools.compile>", "exec"), namespace)
-        return CompiledLoop(loop, code, namespace["_run_traced"],
-                            namespace["_run_fast"], namespace["_run_body"])
+        gen = _Codegen(loop, record=False)
+        code = gen.emit_body("_run_body")
+        return CompiledLoop(loop, code, _load(gen, code, "_run_body"))
     except Exception:
         # any codegen failure degrades to the tree-walker, never to a
         # wrong answer; the parity suite keeps this path honest

@@ -232,14 +232,15 @@ class Interpreter:
                         bound_vars.add(ref.name)
         import numpy as np
         rng = np.random.default_rng(self.seed)
+        cells = self.memory.cells
         for name, depth in subscript_depth.items():
             shape = (self.array_extent,) * depth
             base = self.memory.allocate(name, shape)
-            count = self.array_extent ** depth
-            for off in range(count):
-                self.memory.cells[base + off].value = float(
-                    rng.uniform(-4.0, 4.0)
-                )
+            # one vector draw: the same PCG64 stream as one scalar
+            # ``uniform`` call per cell, in cell order
+            values = rng.uniform(-4.0, 4.0, size=self.array_extent ** depth)
+            for off, value in enumerate(values.tolist()):
+                cells[base + off].value = value
             self.trace.names[base] = name
         for name in scalars - set(subscript_depth) - called:
             base = self.memory.allocate(name)

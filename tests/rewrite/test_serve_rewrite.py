@@ -8,13 +8,24 @@ exactly — same pragmas, same refusal codes, same rewritten text.
 """
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.rewrite.engine
 from repro.client import ClientError, connect
+from repro.dataset.corpus import CorpusGenerator
 from repro.rewrite import FileRewrite
-from repro.serve import REWRITE, Job, SuggestionService, SuggestServer, protocol
+from repro.serve import (
+    REWRITE,
+    Job,
+    SuggestionService,
+    SuggestionStore,
+    SuggestServer,
+    protocol,
+)
 
 SUM_SOURCE = """
 double a[64], b[64]; double s;
@@ -52,8 +63,9 @@ class _StubModel:
         return f"stub:{self.name}:{self.value}"
 
 
-def _service() -> SuggestionService:
-    return SuggestionService(_StubModel(1), {"reduction": _StubModel(1)})
+def _service(store=None) -> SuggestionService:
+    return SuggestionService(_StubModel(1), {"reduction": _StubModel(1)},
+                             store=store)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +163,85 @@ class TestServiceRewrites:
         verify = warm.cache_stats()["verify"]
         assert verify["simulations"] == 0
         assert verify["cached_verdicts"] > 0
+
+
+#: the first loop verifies; the prefix scan is refused only when
+#: verifying, so an unverified pragma left on it shows in the output
+REDUCE_SOURCE = (Path(__file__).parents[2] / "examples" / "corpus"
+                 / "reduce.c").read_text()
+NO_VERIFY = Job("rewrite", verify=False)
+
+
+def _generated() -> list[tuple[str, str]]:
+    _, files = CorpusGenerator(seed=29).generate(scale=0.006)
+    return [(f"file_{f.file_id}.c", f.source) for f in files]
+
+
+def _payloads(results) -> list[dict]:
+    return [r.to_payload() for r in results]
+
+
+def _reparsed(named, job: Job) -> list[dict]:
+    """``job``'s payloads through the parse-again-and-align path that
+    suggestions without their parse take."""
+    service = _service()
+    return [job.finish(service, *named[i], replace(fs, parsed=None))
+            .to_payload() for i, fs in service.iter_sources(named)]
+
+
+class TestParseOnce:
+    """A fresh rewrite reuses the suggestion pass's parse of each file;
+    only suggestions without it parse the file again."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls = []
+        parse_source = repro.rewrite.engine.parse_source
+
+        def counting(source):
+            calls.append(source)
+            return parse_source(source)
+
+        monkeypatch.setattr(repro.rewrite.engine, "parse_source", counting)
+        return calls
+
+    def test_cold_rewrite_parses_each_file_once(self, parses):
+        named = _generated()
+        results = list(_service().stream_sources(named, job=REWRITE))
+        assert all(fr.error is None for fr in results)
+        assert parses == []
+        assert _payloads(results) == _reparsed(named, REWRITE)
+
+    def test_replayed_suggestions_parse_again(self, parses, tmp_path):
+        named = _generated()
+        cold = _payloads(_service().stream_sources(named, job=REWRITE))
+        list(_service(SuggestionStore(tmp_path)).stream_sources(named))
+        warm = _service(SuggestionStore(tmp_path))
+        results = list(warm.stream_sources(named, job=REWRITE))
+        assert warm.store.suggest_hits == len(named)
+        assert warm.cache_stats()["verify"]["cached_verdicts"] == 0
+        assert len(parses) == len(named)
+        assert _payloads(results) == cold
+
+    @pytest.mark.parametrize("jobs", [(NO_VERIFY, REWRITE),
+                                      (REWRITE, NO_VERIFY)],
+                             ids=["unverified-first", "verified-first"])
+    def test_joint_round_leaves_the_shared_parse_as_it_was(self, jobs):
+        named = [("reduce.c", REDUCE_SOURCE)] + _generated()
+        service = _service()
+        got: dict = {job: {} for job in jobs}
+        # one round, the same files in two workloads: each file's one
+        # parse serves both jobs, in the order the round yields them
+        for job, i, fs in service.iter_joint([(job, named)
+                                              for job in jobs]):
+            got[job][i] = job.finish(service, *named[i], fs).to_payload()
+        for job in jobs:
+            alone = _payloads(_service().stream_sources(named, job=job))
+            assert [got[job][i] for i in range(len(named))] == alone
+        codes = {job: [r["code"] for r in got[job][0]["rewrites"]]
+                 for job in jobs}
+        assert codes[NO_VERIFY] == ["unverified", "unverified"]
+        assert codes[REWRITE] == ["verified", "divergence"]
 
 
 class TestRewriteWire:

@@ -153,8 +153,12 @@ class TestSharedStore:
         cold = _service(store=SuggestionStore(tmp_path / "cache"))
         cold_results = list(cold.stream_sources(named, shards=3))
         stats = cold.cache_stats()
-        # parent absorbed the workers' counters
-        assert stats["store"]["suggest_misses"] == len(named)
+        # parent absorbed the workers' counters: every lookup reached
+        # it.  _corpus repeats content across workers, so whichever
+        # worker commits a shared file first can turn the other's
+        # lookup into a hit — count lookups, not misses.
+        assert (stats["store"]["suggest_misses"]
+                + stats["store"]["suggest_hits"]) == len(named)
         assert stats["forwards"]["graphs"] > 0
 
         warm = _service(store=SuggestionStore(tmp_path / "cache"))

@@ -19,6 +19,7 @@ from repro.dataset.recipes import RecipeGenerator
 from repro.rewrite import PlanError, VerifyConfig, plan_clauses, verify_loop
 from repro.tools.compile import (
     CompileUnavailable,
+    CompiledLoop,
     compile_cache_stats,
     compile_loop,
 )
@@ -170,33 +171,62 @@ def test_compilation_is_memoized():
 
 
 def test_unallocated_memory_raises_compile_unavailable():
-    """run() on an unprepared interpreter refuses *before* touching
-    state, so the verifier can fall back cleanly."""
+    """run_body() on an unprepared interpreter refuses *before*
+    touching state, so the verifier can fall back cleanly."""
     loop = parse_loop("for (i = 0; i < n; i++) { a[i] = i; }")
     compiled = compile_loop(loop)
     assert compiled is not None
     interp = _interp()           # no prepare(): nothing allocated
     with pytest.raises(CompileUnavailable):
-        compiled.run(interp, traced=False)
+        compiled.run_body(interp)
     assert interp.steps == 0
     assert not interp.memory.bases
 
 
+def test_reference_falls_back_from_the_prepared_state(monkeypatch):
+    """A body that cannot run compiled sends the sequential reference
+    back to the tree-walker from the prepared state: its loop init has
+    already run once, and running it twice would shift the trip
+    count."""
+    body = "for (i = i + 1; i < n; i++) { a[i] = b[i] * 2.0; }"
+    loop = parse_loop(body)
+    plan = plan_clauses(loop, frozenset())
+
+    def unavailable(self, interp):
+        raise CompileUnavailable()
+
+    monkeypatch.setattr(CompiledLoop, "run_body", unavailable)
+    stats = {}
+    got = verify_loop(loop, plan, VerifyConfig(compiled=True), stats=stats)
+    loop2 = parse_loop(body)
+    want = verify_loop(loop2, plan_clauses(loop2, frozenset()),
+                       VerifyConfig(compiled=False))
+    assert got == want
+    assert got.code == "verified"
+    assert stats.get("compiled_runs", 0) == 0
+    assert stats["interpreted_runs"] > 0
+
+
+@pytest.mark.parametrize("max_steps", [MAX_STEPS, 50, 200, 1000])
 @pytest.mark.parametrize("category,seed",
                          [(c, s) for c in CATEGORIES for s in range(3)])
-def test_verdict_parity_compiled_vs_interpreted(category, seed):
+def test_verdict_parity_compiled_vs_interpreted(category, seed, max_steps):
     """The whole verifier produces byte-identical verdicts through
     either execution path — the property that lets both share one
-    verdict-cache entry."""
+    verdict-cache entry.  Tight budgets check that the compiled
+    reference (interpreter header, compiled body) refuses with
+    ``budget-exceeded`` exactly where the tree-walker does."""
     body = RecipeGenerator(seed=seed).generate(category).body
     loop = parse_loop(body)
     try:
         plan = plan_clauses(loop, frozenset())
     except PlanError:
         pytest.skip("planner refuses this loop before verification")
-    compiled_v = verify_loop(loop, plan, VerifyConfig(compiled=True))
+    compiled_v = verify_loop(loop, plan, VerifyConfig(
+        compiled=True, max_steps=max_steps))
     # fresh parse: verification mutates no state, but keep paths honest
     loop2 = parse_loop(body)
     interpreted_v = verify_loop(loop2, plan_clauses(loop2, frozenset()),
-                                VerifyConfig(compiled=False))
+                                VerifyConfig(compiled=False,
+                                             max_steps=max_steps))
     assert compiled_v == interpreted_v

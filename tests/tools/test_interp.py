@@ -1,8 +1,12 @@
 """Tests for the mini C interpreter."""
 
+import hashlib
+import math
+
 import pytest
 
 from repro.cfront import parse_loop
+from repro.dataset.recipes import RecipeGenerator
 from repro.tools.interp import (
     ExecutionBudgetExceeded,
     Interpreter,
@@ -130,3 +134,57 @@ class TestUnsupported:
     def test_budget_exceeded(self):
         with pytest.raises(ExecutionBudgetExceeded):
             run("for (i = 0; i < 5; i++) while (1) x++;", max_steps=2000)
+
+
+#: ``prepare()``'s synthesized memory per (recipe category, recipe
+#: seed): one digest for interpreter seed 0 and one for seed 1,
+#: recorded before array filling became one vector draw per array
+PREPARED_DIGESTS = {
+    ("reduction", 0): ("70d4f2ab3a1ab5f0", "5e3958c7eb823374"),
+    ("reduction", 1): ("1d356441eb7ac452", "9e1e0ab90b81ce49"),
+    ("reduction", 2): ("7893966ea5fbf177", "505bb6e3cf0d98d5"),
+    ("private", 0): ("b443c32548e07132", "3e30d5ff67449635"),
+    ("private", 1): ("1f1883f7f9b33230", "51f6d56abbea61d6"),
+    ("private", 2): ("518c79a237cad542", "9a739d9373cae2b9"),
+    ("simd", 0): ("aa0b644787b3ec45", "c040c6f06c29090a"),
+    ("simd", 1): ("e1e6452c96cafb1f", "50bef27118431313"),
+    ("simd", 2): ("0677ab2242dd3c71", "4a7af0564cd9de2f"),
+    ("parallel", 0): ("72508938ad0a8d84", "6f7e56d47bbd106c"),
+    ("parallel", 1): ("f9cafc339d801a46", "0d05dcf68dc39bc6"),
+    ("parallel", 2): ("6ad0b96dc3f43379", "79af6a3feec6f3c6"),
+    ("target", 0): ("c1a5dc3c4a0bd09b", "f444017c78741201"),
+    ("target", 1): ("f9317d7b8ab03ab6", "ed6c390e903bd4d4"),
+    ("target", 2): ("83559b72b48f1aac", "ac4acb593ac9a2b7"),
+    (None, 0): ("9a3b3ed9704531d6", "d538b7e3b7790504"),
+    (None, 1): ("fb21a73637f61253", "684819459c19ece6"),
+    (None, 2): ("6ecd2b1f54efd36c", "477c6a97c4e60bce"),
+}
+
+
+def _prepared_digest(loop, seed: int) -> str:
+    """Every array's cells in allocation order, plus the scalars' names
+    and their values as a multiset: scalars allocate in set order,
+    which varies with the string hash seed between processes."""
+    interp = Interpreter(max_steps=60_000, array_extent=16, max_trip=10,
+                         seed=seed)
+    interp.prepare(loop)
+    mem = interp.memory
+    arrays = [(name, shape, [mem.cells[base + off].value
+                             for off in range(math.prod(shape))])
+              for name, (base, shape) in mem.bases.items() if shape]
+    scalars = {name: mem.cells[base].value
+               for name, (base, shape) in mem.bases.items() if not shape}
+    blob = repr((arrays, sorted(scalars), sorted(scalars.values())))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("category,recipe_seed", sorted(
+    PREPARED_DIGESTS, key=repr))
+def test_prepared_memory_is_pinned(category, recipe_seed):
+    """The verifier's inputs never move: the same cells get the same
+    draws from the seeded stream (any change would re-decide cached
+    verdicts without a ``VERIFIER_VERSION`` bump)."""
+    loop = parse_loop(RecipeGenerator(seed=recipe_seed)
+                      .generate(category).body)
+    got = tuple(_prepared_digest(loop, seed) for seed in (0, 1))
+    assert got == PREPARED_DIGESTS[(category, recipe_seed)]
