@@ -26,6 +26,7 @@ workers and remote machines.
 
 from __future__ import annotations
 
+import gzip
 import tarfile
 import tempfile
 from dataclasses import dataclass, field
@@ -222,10 +223,12 @@ def pack_bundle(directory: str | Path, archive: str | Path) -> Path:
     """Pack a saved bundle directory into one gzipped-tar archive.
 
     Members are stored relative to the bundle root in sorted order
-    (manifest first only by name), so packing the same directory twice
-    yields the same member list.  Refuses anything that is not a
-    bundle directory — archiving an arbitrary tree would just defer
-    the failure to some other machine's load.
+    (manifest first only by name), with no timestamps or owners in
+    the members or the gzip header, so packing the same content twice
+    yields the same bytes — the SHA-256 the fabric addresses bundles
+    by.  Refuses anything that is not a bundle directory — archiving
+    an arbitrary tree would just defer the failure to some other
+    machine's load.
     """
     directory = Path(directory)
     manifest = directory / "manifest.json"
@@ -242,11 +245,22 @@ def pack_bundle(directory: str | Path, archive: str | Path) -> Path:
         )
     archive = Path(archive)
     archive.parent.mkdir(parents=True, exist_ok=True)
-    with tarfile.open(archive, "w:gz") as tar:
+    with open(archive, "wb") as raw, \
+            gzip.GzipFile(filename="", mode="wb", fileobj=raw,
+                          mtime=0) as packed, \
+            tarfile.open(fileobj=packed, mode="w") as tar:
         for member in sorted(directory.rglob("*")):
             tar.add(member, arcname=str(member.relative_to(directory)),
-                    recursive=False)
+                    recursive=False, filter=_anonymous)
     return archive
+
+
+def _anonymous(info: tarfile.TarInfo) -> tarfile.TarInfo:
+    """Drop what differs between two packs of the same content."""
+    info.mtime = 0
+    info.uid = info.gid = 0
+    info.uname = info.gname = ""
+    return info
 
 
 def unpack_bundle(archive: str | Path, directory: str | Path) -> Path:

@@ -179,6 +179,8 @@ class Client:
         #: loss mid-frame): the socket must be re-opened before the
         #: next request — draining would misparse partial frames
         self._broken = False
+        #: :meth:`abort` was called: never reconnect again
+        self._aborted = False
         self.address = address
         self.timeout = timeout
         self.retry = retry
@@ -266,6 +268,15 @@ class Client:
             except OSError:
                 pass
 
+    def abort(self) -> None:
+        """Cut the connection from another thread, for good: a blocked
+        read returns, and the client never reconnects afterwards."""
+        self._aborted = True
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
     def _reconnect(self) -> None:
         """Tear down the broken socket, reopen, re-handshake.
 
@@ -279,27 +290,24 @@ class Client:
             except OSError:
                 pass
         self._pending = False
-        self._broken = False
-        if not self.address:
-            self._broken = True
+        self._broken = True
+        if not self.address or self._aborted:
             raise ClientError(
-                "connection broke and this client has no address to "
-                "reconnect to", code="connection-lost")
+                "connection broke and this client cannot reconnect",
+                code="connection-lost")
         try:
             sock = _open_socket(self.address, self.timeout)
         except OSError as exc:
-            self._broken = True
             raise ClientError(
                 f"cannot reconnect to {self.address}: {exc}",
                 code="connection-lost") from exc
         self._sock = sock
         self._rfile = sock.makefile("rb")
         self._wfile = sock.makefile("wb")
-        try:
-            self.capabilities = self._handshake(self._client_id)
-        except ClientError:
-            self._broken = True
-            raise
+        if self._aborted:    # abort() shut the old socket mid-reopen
+            raise ClientError("connection aborted", code="connection-lost")
+        self.capabilities = self._handshake(self._client_id)
+        self._broken = False
 
     def __enter__(self) -> "Client":
         return self
@@ -356,8 +364,8 @@ class Client:
         starts on a clean stream.  Reconnect failures raise — the loop
         above will catch them as the next attempt's failure.
         """
-        if self.retry is None or not self.retry.should_retry(
-                exc.code, failures):
+        if self._aborted or self.retry is None or \
+                not self.retry.should_retry(exc.code, failures):
             raise exc
         time.sleep(self.retry.delay(failures))
         if self._broken:
@@ -369,8 +377,9 @@ class Client:
         """Stream one request's raw :class:`FileResult` frames.
 
         The index-tagged, payload-level form of :meth:`submit` — what
-        a fabric relay forwards verbatim onto a supervisor queue.
-        Retry, reconnect, and exactly-once index dedup apply the same.
+        a fabric relay thread forwards verbatim onto the supervisor's
+        queue.  Retry, reconnect, and exactly-once index dedup apply
+        the same.
         """
         request = self._with_deadline(request)
         seen: set[int] = set()

@@ -2,7 +2,8 @@
 
 The fabric turns a set of ``repro serve`` daemons into one serving
 fleet: :func:`stream_fabric` fans a corpus out across peers through
-the existing shard supervisor (peer loss requeues, never aborts),
+the existing shard supervisor, one relay thread of the coordinator per
+remote shard (peer loss requeues, never aborts),
 :func:`provision_peers` ships a bundle archive to every peer at most
 once (content-addressed by SHA-256), and :class:`NetworkStore` lets
 the whole fleet share a single warm :class:`~repro.serve.store.
@@ -16,15 +17,13 @@ from repro.fabric.cas import (
     provision_peers,
 )
 from repro.fabric.netstore import NetworkStore
-from repro.fabric.remote import iter_inline, relay_shard, stream_fabric
+from repro.fabric.remote import stream_fabric
 
 __all__ = [
     "NetworkStore",
     "PeerBundle",
     "archive_for",
     "ensure_bundle",
-    "iter_inline",
     "provision_peers",
-    "relay_shard",
     "stream_fabric",
 ]

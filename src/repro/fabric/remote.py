@@ -1,65 +1,78 @@
-"""Remote shard backend: workers that dial peers instead of forking.
+"""Remote shards: coordinator threads that relay a shard through a peer.
 
-:func:`stream_fabric` is the coordinator side of distributed serving.
-It plans the corpus into one shard per peer (:func:`plan_peer_shards`)
-and hands the plan to the *unchanged* :func:`~repro.serve.stream.
-stream_shards` supervisor — but the :class:`~repro.serve.worker.
-WorkerSpec` it builds carries ``peers``, so each worker process, rather
-than rebuilding a local service, dials one of the listed ``repro
-serve`` daemons (:func:`relay_shard`) and forwards the streamed
+:func:`stream_fabric` plans the corpus into one shard per peer and
+hands it to the unchanged :func:`~repro.serve.stream.stream_shards`
+supervisor with a :class:`RelaySpec`, whose ``start`` runs each shard
+as a relay thread of the coordinator — nothing is forked.  The relay
+dials a ``repro serve`` daemon and forwards its streamed
 :class:`~repro.serve.protocol.FileResult` frames onto the supervisor
-queue verbatim.
+queue verbatim, with the queue contract of a local worker (``file`` /
+``claim`` / ``done`` plus a heartbeat).
 
-The relay translates *peer* failure into *worker* failure: a peer
-that drops mid-stream or goes silent past the client timeout makes
-the relay process exit nonzero without an ``("error", ...)`` message
-— to the supervisor that is indistinguishable from a local worker
-SIGKILL, so the whole PR-9 machinery (requeue onto a careful respawn,
-bounded retries, per-file quarantine) applies unchanged.  Dialing
-rotates: a shard starts at slot ``sid % len(peers)`` and a refused
-connection moves to the next peer (:func:`_dial`), so losing one
-daemon re-routes its files onto the survivors — at dial time
-immediately, mid-stream via the supervisor's requeue respawning a
-relay that then rotates past the corpse.  Only a fleet with *no*
-reachable peer raises, which ``worker_main`` reports as a soft error:
-when nobody answers, retrying is noise and the run must abort.
+Peer failure becomes worker failure: a peer that drops mid-stream or
+goes silent past the client timeout ends the relay without ``done``,
+so requeue onto a careful respawn, bounded retries and quarantine
+apply unchanged.  Dialing rotates past refused connections
+(:func:`_dial`), so a respawned relay lands on a survivor; only a
+fleet with *no* reachable peer is a soft ``error`` that aborts the
+run.  A relay the supervisor kills cuts its connection, goes silent
+and never reconnects.  Worker faults that match a relay fire in the
+coordinator: ``kill-worker`` and ``poison-file`` end it like a lost
+peer, ``hang-worker`` silences it until the heartbeat timeout.
 
 Results are byte-identical to the in-process path at every peer count:
-peers serve byte-identically (the PR-5 invariant), and the relay never
-touches a payload.
+peers serve byte-identically, and the relay never touches a payload.
 """
 
 from __future__ import annotations
 
-import os
-import time
+import threading
+import traceback
 from collections.abc import Iterator
-from dataclasses import replace
+from dataclasses import dataclass
 
 from repro.client import ClientError, RetryPolicy, connect
-from repro.serve import faults, protocol
+from repro.serve import faults
 from repro.serve.job import SUGGEST, Job
 from repro.serve.pipeline import ServeConfig
 from repro.serve.plan import plan_peer_shards
 from repro.serve.stream import merge_results, stream_shards
-from repro.serve.worker import WorkerSpec
+from repro.serve.worker import _Heartbeat
 
 #: connect attempts per relay incarnation — kept small because the
 #: supervisor's retry/requeue loop is the real (per-lineage) budget
 _RELAY_ATTEMPTS = 3
 
 
-def _dial(spec: WorkerSpec, sid: int, *, client_id: str):
+@dataclass(frozen=True)
+class RelaySpec:
+    """The fleet a coordinator relays shards through.
+
+    ``peer_bundles`` (aligned with ``peers``) names the bundle each
+    peer serves the shard from; empty means every peer's default.
+    ``config`` supplies the supervisor's retry and heartbeat knobs.
+    """
+
+    config: ServeConfig
+    job: Job
+    peers: tuple[str, ...]
+    peer_bundles: tuple[str | None, ...] = ()
+
+    def start(self, shard, queue, careful: bool) -> "_Relay":
+        relay = _Relay(self, shard, queue, careful)
+        relay.start()
+        return relay
+
+
+def _dial(spec: RelaySpec, sid: int):
     """Connect to the first reachable peer, starting at ``sid``'s slot.
 
     Rotation is what turns a dead peer into a failover instead of a
     quarantine: the shard's home slot is ``sid % len(peers)``, and a
-    refused connection moves one slot over rather than killing the
+    refused connection moves one slot over rather than ending the
     relay — so a fleet keeps serving as long as *any* peer answers.
-    Raises when none does; ``worker_main`` reports that as a soft
-    error that aborts the run, because requeuing cannot conjure a
-    reachable daemon.  Returns ``(client, bundle_name)`` with the
-    bundle aligned to the peer that actually answered.
+    Raises ``no-peers`` when none does.  Returns ``(client,
+    bundle_name)`` with the bundle aligned to the peer that answered.
     """
     last_exc: Exception | None = None
     for attempt in range(len(spec.peers)):
@@ -67,10 +80,9 @@ def _dial(spec: WorkerSpec, sid: int, *, client_id: str):
         bundle = spec.peer_bundles[slot] if spec.peer_bundles else None
         try:
             client = connect(
-                spec.peers[slot], timeout=spec.peer_timeout_s,
-                retry=RetryPolicy(max_attempts=_RELAY_ATTEMPTS,
-                                  seed=sid),
-                client_id=client_id)
+                spec.peers[slot],
+                retry=RetryPolicy(max_attempts=_RELAY_ATTEMPTS, seed=sid),
+                client_id=f"repro.fabric/shard{sid}")
             return client, bundle
         except (ClientError, OSError) as exc:
             last_exc = exc
@@ -79,102 +91,95 @@ def _dial(spec: WorkerSpec, sid: int, *, client_id: str):
         code="no-peers")
 
 
-def _request_for(spec: WorkerSpec, items,
-                 bundle: str | None) -> protocol.SuggestRequest:
-    return spec.job.request(
-        sources=tuple((str(name), source) for name, source in items),
-        bundle=bundle, ordered=False, stream=True)
+class _Relay(threading.Thread):
+    """One remote shard, relayed by a coordinator thread.
 
-
-def _die(queue) -> None:
-    """Exit as a *hard* worker death.
-
-    Flushes messages already handed to the queue (delivered files must
-    not be lost with the process), then exits without touching python
-    exception handling — ``worker_main`` must not see this as a soft
-    error, because a soft error aborts the whole run while a hard
-    death is requeued.
+    The supervisor polls, kills and joins it like a worker process:
+    ``exitcode`` is None while it runs, 0 after ``done`` and 1 after
+    any other ending.  Careful mode issues one request per file with a
+    claim ahead of each, preserving per-file blame across the wire.
     """
-    try:
-        queue.close()
-        queue.join_thread()
-    except Exception:
-        pass
-    os._exit(1)
 
+    def __init__(self, spec: RelaySpec, shard, queue,
+                 careful: bool) -> None:
+        super().__init__(name=f"repro-relay-{shard.sid}", daemon=True)
+        self._spec = spec
+        self._shard = shard
+        self._queue = queue
+        self._careful = careful
+        self._killed = threading.Event()
+        self._client = None
+        self.exitcode: int | None = None
 
-def relay_shard(spec: WorkerSpec, shard, queue, heartbeat, *,
-                careful: bool = False) -> None:
-    """Worker-process body for a remote shard: dial, stream, forward.
+    def kill(self) -> None:
+        """The relay's SIGKILL: silent from here on, never reconnects."""
+        self._killed.set()
+        # read after set(): a client published later meets the flag
+        # at the relay's next check instead
+        client = self._client
+        if client is not None:
+            client.abort()
 
-    Speaks the exact queue contract of a local worker — ``file`` /
-    ``claim`` / ``done`` messages plus the heartbeat ``worker_main``
-    already started — so the supervisor cannot tell a peer relay from
-    a forked pipeline.  Careful mode issues one request per file with
-    a claim ahead of each, preserving per-file blame across the wire.
-    """
-    client, bundle = _dial(spec, shard.sid,
-                           client_id=f"repro.fabric/shard{shard.sid}")
-    files_done = 0
+    terminate = kill
 
-    def _emit(local_index: int, name: str, payload: dict) -> None:
-        nonlocal files_done
-        action = faults.on_worker_file(shard.sid, files_done, name)
-        if action == "hang":
-            heartbeat.stop()
-            time.sleep(faults.HANG_S)
-        elif action == "kill":
-            queue.close()
-            queue.join_thread()
-            faults.kill_self()
-        queue.put(("file", shard.sid, shard.indices[local_index],
-                   name, payload))
-        files_done += 1
-
-    try:
-        if careful:
-            for local_index in range(len(shard.items)):
-                queue.put(("claim", shard.sid,
-                           shard.indices[local_index]))
-                request = _request_for(
-                    spec, [shard.items[local_index]], bundle)
-                for frame in client.stream_request(request):
-                    _emit(local_index, frame.name, frame.payload)
-        else:
-            request = _request_for(spec, shard.items, bundle)
-            for frame in client.stream_request(request):
-                _emit(frame.index, frame.name, frame.payload)
-        queue.put(("done", shard.sid, {}))
-    except (ClientError, OSError):
-        _die(queue)
-    finally:
+    def run(self) -> None:
+        sid = self._shard.sid
+        heartbeat = _Heartbeat(sid, self._queue,
+                               self._spec.config.heartbeat_s)
+        heartbeat.start()
         try:
-            client.close()
-        except Exception:
-            pass
+            if self._relay(heartbeat):
+                self._queue.put(("done", sid, {}))
+                self.exitcode = 0
+        except Exception as exc:
+            # a lost peer ends the relay like a dead worker (requeue);
+            # an unreachable fleet or a bug is a soft error, because
+            # requeuing can neither conjure a daemon nor fix a bug
+            lost = (isinstance(exc, (ClientError, OSError))
+                    and getattr(exc, "code", "") != "no-peers")
+            if not lost and not self._killed.is_set():
+                self._queue.put(("error", sid, traceback.format_exc()))
+        finally:
+            heartbeat.stop()
+            if self._client is not None:
+                self._client.close()
+            if self.exitcode is None:
+                self.exitcode = 1
 
-
-def iter_inline(spec: WorkerSpec,
-                named_sources) -> Iterator[tuple[int, object]]:
-    """Process-free fallback: relay the whole corpus through one peer.
-
-    Used when worker processes cannot spawn at all — remote shards do
-    not need local processes to parallelize (the peers compute), so
-    the sandboxed coordinator still serves, just without local fan-out.
-    """
-    client, bundle = _dial(spec, 0, client_id="repro.fabric/inline")
-    try:
-        request = _request_for(spec, list(named_sources), bundle)
-        for frame in client.stream_request(request):
-            yield frame.index, spec.job.revive(frame.name, frame.payload)
-    finally:
-        client.close()
+    def _relay(self, heartbeat: _Heartbeat) -> bool:
+        """Stream the shard onto the queue; False if it ended early."""
+        shard, sid = self._shard, self._shard.sid
+        self._client, bundle = _dial(self._spec, sid)
+        batches = ([[i] for i in range(len(shard.items))]
+                   if self._careful else [range(len(shard.items))])
+        files_done = 0
+        for batch in batches:
+            if self._killed.is_set():
+                return False
+            if self._careful:
+                self._queue.put(("claim", sid, shard.indices[batch[0]]))
+            request = self._spec.job.request(
+                sources=tuple(shard.items[i] for i in batch),
+                bundle=bundle, ordered=False, stream=True)
+            for frame in self._client.stream_request(request):
+                action = faults.on_worker_file(sid, files_done,
+                                               frame.name)
+                if action == "hang":
+                    heartbeat.stop()
+                    self._killed.wait(faults.HANG_S)
+                if action is not None or self._killed.is_set():
+                    return False
+                self._queue.put(("file", sid,
+                                 shard.indices[batch[frame.index]],
+                                 frame.name, frame.payload))
+                files_done += 1
+        return True
 
 
 def stream_fabric(
     peers, named_sources, *, job: Job = SUGGEST,
     peer_bundles=(), ordered: bool = True,
-    config: ServeConfig | None = None, timeout_s: float = 600.0,
+    config: ServeConfig | None = None,
 ) -> Iterator:
     """Fan ``(name, source)`` pairs out across remote peer daemons.
 
@@ -193,10 +198,8 @@ def stream_fabric(
     peer_bundles = tuple(peer_bundles)
     if peer_bundles and len(peer_bundles) != len(peers):
         raise ValueError("peer_bundles must align with peers")
-    config = config if config is not None else ServeConfig()
-    spec = WorkerSpec(config=replace(config, shards=1, workers=1),
-                      job=job, peers=peers, peer_bundles=peer_bundles,
-                      peer_timeout_s=timeout_s)
+    spec = RelaySpec(config=config if config is not None else ServeConfig(),
+                     job=job, peers=peers, peer_bundles=peer_bundles)
     named = [(str(name), source) for name, source in named_sources]
     n_shards = plan_peer_shards(len(peers), named)
     return merge_results(stream_shards(spec, named, n_shards),

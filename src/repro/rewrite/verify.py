@@ -72,7 +72,7 @@ from repro.tools.interp import (
 
 #: bumped whenever a change alters what (or how) verification computes;
 #: part of every verdict-cache key, so stale entries miss
-VERIFIER_VERSION = 2
+VERIFIER_VERSION = 3
 
 #: reduction identity per operator (the value each thread copy starts
 #: from; ``-=`` accumulates negated contributions under op ``+``, so

@@ -54,7 +54,10 @@ Fault kinds (``Fault.kind``):
 
 ``times`` bounds how often one fault fires (default 1); counters are
 per-process, so "kill the worker once" means the *respawned* worker
-survives.  ``seed`` keys the deterministic jitter helpers.
+survives.  Worker faults that match a fabric relay fire in the
+coordinator, whose relay threads share its firing counters: a
+``poison-file`` needs one firing per relay it should end.  ``seed``
+keys the deterministic jitter helpers.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ import hashlib
 import json
 import os
 import signal
+import threading
 import time
 from dataclasses import dataclass
 
@@ -162,13 +166,16 @@ class _Armed:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.fired = [0] * len(plan.faults)
+        # fabric relay threads consult one plan concurrently
+        self._lock = threading.Lock()
 
     def take(self, predicate) -> Fault | None:
         """First matching fault with firings left; consumes one."""
-        for i, fault in enumerate(self.plan.faults):
-            if self.fired[i] < fault.times and predicate(fault):
-                self.fired[i] += 1
-                return fault
+        with self._lock:
+            for i, fault in enumerate(self.plan.faults):
+                if self.fired[i] < fault.times and predicate(fault):
+                    self.fired[i] += 1
+                    return fault
         return None
 
 
@@ -227,7 +234,8 @@ def on_worker_file(sid: int, files_done: int, name: str) -> str | None:
     """Worker hook: about to emit result ``files_done`` named ``name``.
 
     Returns the action the worker must take: ``"kill"`` (SIGKILL
-    itself), ``"hang"`` (stop heartbeating and sleep), or ``None``.
+    itself; a fabric relay thread just ends), ``"hang"`` (stop
+    heartbeating and sleep), or ``None``.
     """
     armed = _current()
     if armed is None:

@@ -2,7 +2,8 @@
 
 :func:`stream_shards` is the parent side of the sharded pipeline: it
 plans the corpus into size-balanced shards (:mod:`repro.serve.plan`),
-launches one worker process per shard (:mod:`repro.serve.worker`), and
+starts one worker per shard — a process (:mod:`repro.serve.worker`),
+or a thread relaying a remote peer (:mod:`repro.fabric.remote`) — and
 yields ``(input_index, FileSuggestions)`` pairs as workers stream them
 back over a shared result queue — the first finished file surfaces long
 before the last shard completes.  :func:`merge_results` turns that
@@ -26,7 +27,7 @@ environment fault, and retrying a bug is noise.
 
 Environments that cannot spawn processes at all degrade to the
 in-process pipeline rather than failing the request, mirroring the
-parse stage's fallback.
+parse stage's fallback; remote shards never need a process.
 """
 
 from __future__ import annotations
@@ -80,11 +81,12 @@ def merge_results(
 
 
 class _Worker:
-    """Supervisor-side state for one live worker process."""
+    """Supervisor-side state for one live worker; ``handle`` is a
+    process or a relay thread with the same poll/kill/join calls."""
 
-    def __init__(self, proc, shard, *, careful: bool,
+    def __init__(self, handle, shard, *, careful: bool,
                  lineage: int) -> None:
-        self.proc = proc
+        self.handle = handle
         self.shard = shard
         self.careful = careful
         #: original sid of the first worker in this retry chain — the
@@ -112,12 +114,14 @@ def stream_shards(
 ) -> Iterator[tuple[int, object]]:
     """Run ``named_sources`` through ``n_shards`` supervised workers.
 
-    ``spec`` is a :class:`~repro.serve.worker.WorkerSpec`; each worker
-    rebuilds the full service from it, runs the spec's job — parse →
-    encode → forward → fan-out, plus verified rewriting for a rewrite
-    job — locally for its shard, commits to the shared persistent
-    store, and streams per-file results back as they complete; the
-    job revives each one from its ``(name, payload)`` wire form.
+    ``spec.start(shard, queue, careful)`` starts each worker.  A
+    :class:`~repro.serve.worker.WorkerSpec` worker rebuilds the full
+    service, runs the spec's job — parse → encode → forward → fan-out,
+    plus verified rewriting for a rewrite job — locally for its shard,
+    commits to the shared persistent store, and streams per-file
+    results back as they complete (a fabric relay streams a peer's
+    instead); the job revives each one from its ``(name, payload)``
+    wire form.
     ``on_stats`` receives each worker's ``cache_stats()`` dict when its
     shard finishes, so the parent can fold shard work into its own
     counters.
@@ -128,13 +132,10 @@ def stream_shards(
     worker is presumed hung and killed, ``retry_backoff_s`` base of the
     exponential respawn delay.
     """
-    from repro.serve.worker import worker_main
-
     revive = spec.job.revive
-    config = getattr(spec, "config", None)
-    max_retries = getattr(config, "max_retries", 3)
-    heartbeat_s = getattr(config, "heartbeat_s", 30.0)
-    backoff_s = getattr(config, "retry_backoff_s", 0.05)
+    max_retries = spec.config.max_retries
+    heartbeat_s = spec.config.heartbeat_s
+    backoff_s = spec.config.retry_backoff_s
 
     shards = plan_shards(list(named_sources), n_shards)
     if not shards:
@@ -144,8 +145,7 @@ def stream_shards(
         for index, item in zip(shard.indices, shard.items):
             items_by_index[index] = item
 
-    ctx = multiprocessing.get_context()
-    queue = ctx.Queue()
+    queue = multiprocessing.get_context().Queue()
     workers: dict[int, _Worker] = {}
     # fresh sids for respawned shards, so per-sid fault plans and
     # worker messages never alias a dead worker's
@@ -155,11 +155,8 @@ def stream_shards(
     deaths: dict[int, int] = {}
 
     def _spawn(shard: Shard, *, careful: bool, lineage: int) -> None:
-        proc = ctx.Process(target=worker_main,
-                           args=(spec, shard, queue, careful),
-                           daemon=True)
-        proc.start()
-        workers[shard.sid] = _Worker(proc, shard, careful=careful,
+        workers[shard.sid] = _Worker(spec.start(shard, queue, careful),
+                                     shard, careful=careful,
                                      lineage=lineage)
 
     try:
@@ -169,18 +166,9 @@ def stream_shards(
         # No process support here (sandboxes, exhausted pids): serve
         # in-process instead of failing the request.
         for worker in workers.values():
-            worker.proc.terminate()
-        named = list(named_sources)
-        if getattr(spec, "peers", ()):
-            # Remote shards don't need processes to parallelize — the
-            # peers compute; relay the whole corpus through one of
-            # them from this process.
-            from repro.fabric.remote import iter_inline
-
-            yield from iter_inline(spec, named)
-            return
+            worker.handle.terminate()
         service = spec.build_service()
-        yield from spec.job.run(service, named)
+        yield from spec.job.run(service, list(named_sources))
         if on_stats is not None:
             on_stats(service.cache_stats())
         return
@@ -208,7 +196,7 @@ def stream_shards(
         elif kind == "done":
             if worker is not None:
                 del workers[sid]
-                worker.proc.join(timeout=_JOIN_S)
+                worker.handle.join(timeout=_JOIN_S)
                 if on_stats is not None:
                     on_stats(rest[0])
         elif kind == "error":
@@ -219,7 +207,7 @@ def stream_shards(
     def _bury(sid: int) -> Iterator[tuple[int, FileSuggestions]]:
         """Handle one dead worker: blame, quarantine, respawn."""
         worker = workers.pop(sid)
-        worker.proc.join(timeout=_JOIN_S)
+        worker.handle.join(timeout=_JOIN_S)
         unfinished = [i for i in worker.shard.indices
                       if i not in received]
         if not unfinished:
@@ -289,12 +277,12 @@ def stream_shards(
                 now = time.monotonic()
                 suspects = []
                 for sid, worker in list(workers.items()):
-                    if worker.proc.exitcode is not None:
+                    if worker.handle.exitcode is not None:
                         suspects.append(sid)
                     elif now - worker.last_seen > heartbeat_s:
                         # Alive but silent past the heartbeat window:
                         # presumed hung; reap it and requeue its work.
-                        worker.proc.kill()
+                        worker.handle.kill()
                         suspects.append(sid)
                 if suspects:
                     # Drain messages that raced the exit before judging
@@ -308,9 +296,9 @@ def stream_shards(
             yield from _handle(message)
     finally:
         for worker in workers.values():
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-                worker.proc.join(timeout=_JOIN_S)
+            if worker.handle.is_alive():
+                worker.handle.terminate()
+                worker.handle.join(timeout=_JOIN_S)
         queue.close()
 
 

@@ -1,7 +1,7 @@
 """Shard worker: one process, one slice of the corpus, full pipeline.
 
-A worker rebuilds the complete suggestion service from a picklable
-:class:`WorkerSpec` carrying the parent's own in-memory models —
+:meth:`WorkerSpec.start` forks :func:`worker_main`, which rebuilds the
+complete suggestion service from the spec's in-memory models —
 inherited for free under ``fork``, pickled under ``spawn`` — so every
 worker serves exactly the weights the parent serves, however they were
 loaded, and never touches the bundle on disk.  It pins the OpenBLAS
@@ -27,16 +27,19 @@ Careful mode (``worker_main(..., careful=True)``) is how a respawned
 worker re-runs a shard that already killed a sibling: files are served
 one at a time with a claim ahead of each, trading batch throughput for
 per-file blame — the supervisor quarantines an input that keeps
-killing workers instead of retrying it forever.
+killing workers instead of retrying it forever.  Remote shards speak
+the same contract from coordinator threads
+(:mod:`repro.fabric.remote`).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.serve import _blas, faults
 from repro.serve.job import SUGGEST, Job
@@ -53,42 +56,33 @@ class WorkerSpec:
 
     ``models`` is the parent service's ``(parallel_model,
     clause_models)`` pair, clause families in the parent's order, so
-    workers share its model key and its suggestion layout.  Only a
-    remote-mode spec (``peers``) carries none.
+    workers share its model key and its suggestion layout.
 
     ``job`` (:class:`~repro.serve.job.Job`) selects what the worker
     streams back: suggestions, or rewrites applied and verified inside
     the worker — this is what distributes verification across shards.
-
-    ``peers`` switches the worker into *remote* mode: instead of
-    rebuilding a service locally it dials one of the listed ``repro
-    serve`` daemons (home slot ``sid % len(peers)``, rotating past
-    peers that refuse the connection) and relays the streamed results
-    onto the queue — the supervisor sees the exact same message
-    contract, so peer death and requeue are handled by the same
-    retry/quarantine machinery as local worker death.
-    ``peer_bundles`` (aligned with ``peers``) names the bundle each
-    peer serves the shard from; ``peer_timeout_s`` bounds how long a
-    silent peer connection is waited on before the relay gives up and
-    dies for the supervisor to requeue.
     """
 
     config: ServeConfig
+    models: tuple
     store_root: str | None = None
-    models: tuple | None = None
     job: Job = SUGGEST
-    peers: tuple[str, ...] = field(default_factory=tuple)
-    peer_bundles: tuple[str | None, ...] = field(default_factory=tuple)
-    peer_timeout_s: float = 600.0
 
     def build_service(self) -> SuggestionService:
-        if self.models is None:
-            raise ValueError("WorkerSpec carries no models to serve")
         parallel, clause_models = self.models
         store = (open_store(self.store_root)
                  if self.store_root is not None else None)
         return SuggestionService(parallel, dict(clause_models),
                                  self.config, store=store)
+
+    def start(self, shard, queue, careful: bool):
+        """Fork a worker serving ``shard``; the process is the handle
+        the supervisor polls, kills and joins."""
+        proc = multiprocessing.get_context().Process(
+            target=worker_main, args=(self, shard, queue, careful),
+            daemon=True)
+        proc.start()
+        return proc
 
 
 class _Heartbeat:
@@ -100,10 +94,10 @@ class _Heartbeat:
     trips the supervisor's heartbeat timeout.
     """
 
-    def __init__(self, sid: int, queue, interval: float) -> None:
+    def __init__(self, sid: int, queue, heartbeat_s: float) -> None:
         self._sid = sid
         self._queue = queue
-        self._interval = interval
+        self._interval = min(_BEAT_S, max(0.05, heartbeat_s / 4.0))
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
@@ -152,21 +146,9 @@ def worker_main(spec: WorkerSpec, shard, queue,
     # N shard workers already fill N cores; per-worker BLAS pools
     # would only oversubscribe them
     _blas.pin_one_thread()
-    heartbeat_s = getattr(spec.config, "heartbeat_s", 30.0)
-    interval = min(_BEAT_S, max(0.05, heartbeat_s / 4.0))
-    heartbeat = _Heartbeat(shard.sid, queue, interval)
+    heartbeat = _Heartbeat(shard.sid, queue, spec.config.heartbeat_s)
     heartbeat.start()
     try:
-        if spec.peers:
-            # Remote mode: relay the shard through a peer daemon.
-            # Peer loss mid-stream is a hard death (the supervisor
-            # requeues, exactly as for a local worker death); a fleet
-            # with no reachable peer raises into the soft-error path
-            # below, because requeuing cannot help then.
-            from repro.fabric.remote import relay_shard
-
-            relay_shard(spec, shard, queue, heartbeat, careful=careful)
-            return
         service = spec.build_service()
         files_done = 0
         for local_index, result in _iter_results(service, spec, shard,

@@ -242,7 +242,8 @@ class Interpreter:
             for off, value in enumerate(values.tolist()):
                 cells[base + off].value = value
             self.trace.names[base] = name
-        for name in scalars - set(subscript_depth) - called:
+        # name order, not set order: draws must not follow the hash seed
+        for name in sorted(scalars - set(subscript_depth) - called):
             base = self.memory.allocate(name)
             if name in bound_vars:
                 self.memory.cells[base].value = self.max_trip

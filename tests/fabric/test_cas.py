@@ -7,7 +7,9 @@ against a live daemon ship an archive's bytes at most once per peer.
 """
 
 import hashlib
+import os
 import socket
+import time
 
 import pytest
 
@@ -96,6 +98,25 @@ class TestContentAddress:
         registry.add_archive(packed,
                              expect_sha256=archive_sha256(packed))
         assert registry.names() == ["advisor"]
+
+    def test_same_content_packs_to_one_hash(self, tmp_path, monkeypatch):
+        """Re-packing is a cache hit: no clock, mtime or owner in the
+        bytes, so a bundle directory is pushed once per peer, ever."""
+        bundle = _bundle()
+        bundle.save(tmp_path / "advisor")
+
+        def pack(name: str, clock: float) -> list[str]:
+            monkeypatch.setattr(time, "time", lambda: clock)
+            for member in (tmp_path / "advisor").rglob("*"):
+                os.utime(member, (clock, clock))
+            return [archive_sha256(pack_bundle(tmp_path / "advisor",
+                                               tmp_path / name)),
+                    archive_sha256(bundle.export_archive(
+                        tmp_path / "export" / name))]
+
+        hashes = (pack("first.tar.gz", 1.7e9)
+                  + pack("second.tar.gz", 1.7e9 + 3600))
+        assert len(set(hashes)) == 1
 
 
 class TestRegistryVerification:

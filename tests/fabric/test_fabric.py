@@ -3,18 +3,34 @@
 The invariant everything here defends: results streamed through
 remote peers are byte-identical to the in-process pipeline — at one
 peer, at two peers, and with one peer dead mid-fleet (the supervisor
-requeues its shard onto a survivor instead of aborting).
+requeues its shard onto a survivor instead of aborting).  Remote
+shards are relay threads of the coordinator, so the relay tests also
+check that worker faults end a relay, never the test process, and
+that no relay thread outlives its stream.
 """
 
+import multiprocessing
 import socket
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.client import ClientError
-from repro.fabric import NetworkStore, iter_inline, stream_fabric
-from repro.serve import REWRITE, ServeConfig, SuggestionService, SuggestServer
-from repro.serve.worker import WorkerSpec
+import repro.client
+from repro.client import ClientError, RetryPolicy, connect
+from repro.fabric import NetworkStore, stream_fabric
+from repro.serve import (
+    REWRITE,
+    Fault,
+    FaultPlan,
+    ServeConfig,
+    ServeError,
+    SuggestionService,
+    SuggestServer,
+    faults,
+    protocol,
+)
 
 SOURCE_A = """
 double a[100], b[100]; double s;
@@ -38,6 +54,14 @@ BAD_SOURCE = "void broken(void) { for (i = 0; i < ; }"
 CORPUS = [("a.c", SOURCE_A), ("b.c", SOURCE_B), ("broken.c", BAD_SOURCE)]
 
 
+def _corpus(n: int = 8):
+    """``n`` distinct files: enough for a relay to die mid-shard."""
+    return [(f"f{i}.c",
+             (SOURCE_A if i % 2 else SOURCE_B)
+             .replace("100", str(100 + i)).replace("50", str(50 + i)))
+            for i in range(n)]
+
+
 class _StubModel:
     """Picklable fingerprinted stub following the suggester contract."""
 
@@ -57,9 +81,9 @@ def _service() -> SuggestionService:
                              {"reduction": _StubModel(0, "red")})
 
 
-def _golden():
+def _golden(corpus=CORPUS):
     """The in-process results every fabric topology must reproduce."""
-    return _snap(list(_service().stream_sources(CORPUS)))
+    return _snap(list(_service().stream_sources(corpus)))
 
 
 def _snap(results):
@@ -98,7 +122,7 @@ class TestStreamFabric:
     def test_dead_peer_requeues_onto_survivor(self, fleet):
         """Losing a peer re-routes its shard, it never aborts the run.
 
-        The relay for the dead peer exits like a SIGKILLed worker, the
+        The relay for the dead peer ends like a SIGKILLed worker, the
         supervisor requeues, and sid rotation lands the respawn on the
         survivor — so the result is still byte-identical.
         """
@@ -108,7 +132,7 @@ class TestStreamFabric:
         assert _snap(results) == _golden()
 
     def test_all_peers_dead_is_an_error(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ServeError, match="no reachable peer"):
             list(stream_fabric([_dead_address()], CORPUS, ordered=True,
                                config=ServeConfig(max_retries=1)))
 
@@ -128,15 +152,136 @@ class TestStreamFabric:
             stream_fabric(fleet, CORPUS, peer_bundles=("only-one",))
 
 
-class TestIterInline:
-    def test_matches_golden_without_processes(self, fleet):
-        spec = WorkerSpec(config=ServeConfig(), peers=(fleet[0],),
-                          peer_timeout_s=60.0)
-        got = sorted(iter_inline(spec, CORPUS), key=lambda pair: pair[0])
-        assert [(i, r.name, r.to_payload()) for i, r in got] == [
-            (i, name, payload)
-            for i, (name, payload) in enumerate(_golden())
-        ]
+@pytest.fixture
+def arm():
+    """Arm worker faults in this process: relays are its threads."""
+
+    def _arm(*plan_faults):
+        faults.activate(FaultPlan(tuple(plan_faults)))
+
+    yield _arm
+    faults.reset()
+
+
+def _relays():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("repro-relay") and t.is_alive()]
+
+
+class _DyingPeer:
+    """A proxy to a live peer that passes on one file, then drops the
+    connection and refuses new ones: a peer that dies mid-stream."""
+
+    def __init__(self, target: str) -> None:
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = "127.0.0.1:%d" % self._listener.getsockname()[1]
+        self._target = target
+        self.died = threading.Event()
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self) -> None:
+        downstream, _ = self._listener.accept()
+        self._listener.close()
+        host, port = self._target.rsplit(":", 1)
+        upstream = socket.create_connection((host, int(port)))
+        threading.Thread(target=self._pump, args=(downstream, upstream),
+                         daemon=True).start()
+        with upstream.makefile("rb") as reader, \
+                downstream.makefile("wb") as writer:
+            while (message := protocol.read_message(reader)) is not None:
+                protocol.write_message(writer, message)
+                if isinstance(message, protocol.FileResult):
+                    break
+        for sock in (downstream, upstream):
+            sock.shutdown(socket.SHUT_RDWR)
+            sock.close()
+        self.died.set()
+
+    @staticmethod
+    def _pump(src, dst) -> None:
+        try:
+            while data := src.recv(65536):
+                dst.sendall(data)
+        except OSError:
+            pass
+
+
+class TestRelays:
+    def test_two_peers_fork_nothing(self, fleet, monkeypatch):
+        def refuse(self):
+            raise OSError("this host cannot start processes")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+        results = list(stream_fabric(fleet, CORPUS, ordered=True))
+        assert _snap(results) == _golden()
+
+    def test_peer_lost_mid_stream_is_requeued(self, fleet):
+        dying = _DyingPeer(fleet[0])
+        corpus = _corpus()
+        results = list(stream_fabric(
+            [dying.address, fleet[1]], corpus, ordered=True,
+            config=ServeConfig(retry_backoff_s=0.01)))
+        assert dying.died.is_set()
+        assert _snap(results) == _golden(corpus)
+
+    def test_killed_relay_is_requeued(self, fleet, arm):
+        corpus = _corpus()
+        arm(Fault("kill-worker", sid=0, after_files=1))
+        results = list(stream_fabric(
+            fleet, corpus, ordered=True,
+            config=ServeConfig(retry_backoff_s=0.01)))
+        assert _snap(results) == _golden(corpus)
+
+    def test_hung_relay_is_killed_by_the_heartbeat(self, fleet, arm):
+        corpus = _corpus()
+        arm(Fault("hang-worker", sid=0, after_files=1))
+        start = time.monotonic()
+        results = list(stream_fabric(
+            fleet, corpus, ordered=True,
+            config=ServeConfig(heartbeat_s=1.0, retry_backoff_s=0.01)))
+        assert _snap(results) == _golden(corpus)
+        # detected by silence, not by waiting out the hang
+        assert time.monotonic() - start < faults.HANG_S / 10
+        assert not _relays()
+
+    def test_poison_file_is_quarantined(self, fleet, arm):
+        corpus = _corpus()
+        golden = dict(_golden(corpus))
+        # relays share the coordinator's firing counters: allow one
+        # firing per relay the file should end
+        arm(Fault("poison-file", match="f3.c", times=8))
+        results = list(stream_fabric(
+            fleet, corpus, ordered=True,
+            config=ServeConfig(retry_backoff_s=0.01)))
+        assert [r.name for r in results] == [name for name, _ in corpus]
+        for r in results:
+            if r.name == "f3.c":
+                assert r.error.startswith("quarantined:")
+            else:
+                assert r.to_payload() == golden[r.name]
+
+    def test_closed_stream_leaves_no_relay_thread(self, fleet):
+        results = stream_fabric(fleet, _corpus(), ordered=False)
+        first = next(results)
+        results.close()
+        assert first.error is None
+        assert not _relays()
+
+    def test_aborted_client_never_reconnects(self, fleet, monkeypatch):
+        """A killed relay aborts its client: the stream in progress
+        fails at once, whatever the retry policy, and no socket opens."""
+        client = connect(fleet[0], retry=RetryPolicy(base_delay_s=0.0))
+        client.abort()
+        opened = []
+        monkeypatch.setattr(repro.client, "_open_socket",
+                            lambda *args: opened.append(args))
+        request = REWRITE.request(sources=tuple(CORPUS), bundle=None,
+                                  ordered=False, stream=True)
+        with pytest.raises(ClientError):
+            list(client.stream_request(request))
+        client.close()
+        assert opened == []
 
 
 class TestNetworkStoreEdges:

@@ -314,6 +314,30 @@ class TestPlanMechanics:
             faults.reset()
         assert fired == [True, True, False, False]
 
+    def test_times_bounds_firings_across_threads(self):
+        """Fabric relays are threads sharing one plan's counters: no
+        race may let a fault fire more than ``times``."""
+        # every fault's last firing is a check-then-act race to lose
+        faults.activate(FaultPlan(tuple(
+            Fault("poison-file", match="x.c") for _ in range(400))))
+        fired = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: fired.extend(
+                faults.on_worker_file(0, i, "x.c") for i in range(100)))
+                for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+            faults.reset()
+        assert len(fired) == 800
+        assert sum(action is not None for action in fired) == 400
+
     def test_inactive_hooks_are_inert(self, monkeypatch):
         monkeypatch.delenv(faults.ENV_VAR, raising=False)
         faults.reset()

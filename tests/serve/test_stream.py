@@ -220,8 +220,8 @@ class TestWorkerFailure:
             list(service.stream_sources(named, shards=2))
 
     def test_spec_without_source_is_an_error(self):
-        with pytest.raises(ValueError, match="no models"):
-            WorkerSpec(config=ServeConfig()).build_service()
+        with pytest.raises(TypeError, match="models"):
+            WorkerSpec(config=ServeConfig())
 
 
 class _BlasProbeModel(_StubModel):

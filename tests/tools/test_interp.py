@@ -1,7 +1,13 @@
 """Tests for the mini C interpreter."""
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -163,8 +169,7 @@ PREPARED_DIGESTS = {
 
 def _prepared_digest(loop, seed: int) -> str:
     """Every array's cells in allocation order, plus the scalars' names
-    and their values as a multiset: scalars allocate in set order,
-    which varies with the string hash seed between processes."""
+    and their values as a multiset."""
     interp = Interpreter(max_steps=60_000, array_extent=16, max_trip=10,
                          seed=seed)
     interp.prepare(loop)
@@ -188,3 +193,34 @@ def test_prepared_memory_is_pinned(category, recipe_seed):
                       .generate(category).body)
     got = tuple(_prepared_digest(loop, seed) for seed in (0, 1))
     assert got == PREPARED_DIGESTS[(category, recipe_seed)]
+
+
+_SCALARS_SCRIPT = textwrap.dedent("""
+    import json
+    from repro.cfront import parse_loop
+    from repro.tools.interp import Interpreter
+
+    interp = Interpreter(seed=0)
+    interp.prepare(parse_loop(
+        "for (i = 0; i < n; i++) a[i] = x * b[i] + y * c[i] + z;"))
+    mem = interp.memory
+    print(json.dumps({name: mem.cells[base].value
+                      for name, (base, shape) in mem.bases.items()
+                      if not shape}))
+""")
+
+
+def test_prepared_scalars_ignore_the_hash_seed():
+    """A shard worker, a daemon peer and the coordinator draw the same
+    scalar inputs: allocation follows names, not string hashes."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    maps = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=src + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run([sys.executable, "-c", _SCALARS_SCRIPT],
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout
+        maps.append(json.loads(out))
+    assert maps[0] == maps[1]
