@@ -318,26 +318,31 @@ def _read_corpus(directory, pattern: str) -> list[tuple[str, str]] | None:
     return named
 
 
+#: flags only the in-process backend reads: remote daemons serve with
+#: their own models, stores and config
+_LOCAL_FLAGS = ("--workers", "--batch-size", "--cache-dir", "--scale",
+                "--seed", "--epochs", "--dim")
+
+
+def _note_ignored(parser, args, backend: str, flags: tuple) -> None:
+    """Name each of ``flags`` that the command line sets but
+    ``backend`` ignores, in one note on stderr."""
+    ignored = []
+    for flag in flags:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) != parser.get_default(dest):
+            ignored.append(flag)
+    if ignored:
+        print(f"note: {', '.join(ignored)} are ignored with {backend} "
+              f"— the daemons' own models, stores and config serve "
+              f"the request", file=sys.stderr)
+
+
 def _connect_server(args, job):
     """A handshaken client for ``--server``, or ``None`` (after printing
     why) when the daemon is unreachable or cannot serve ``job``."""
     from repro.client import ClientError, RetryPolicy, connect
 
-    ignored = [
-        flag for flag, value, default in (
-            ("--workers", args.workers, 1),
-            ("--batch-size", args.batch_size, 256),
-            ("--cache-dir", args.cache_dir, None),
-            ("--scale", args.scale, 0.02),
-            ("--seed", args.seed, 7),
-            ("--epochs", args.epochs, 4),
-            ("--dim", args.dim, 32),
-        ) if value != default
-    ]
-    if ignored:
-        print(f"note: {', '.join(ignored)} are ignored with "
-              f"--server — the daemon's own models and config "
-              f"serve the request", file=sys.stderr)
     try:
         # a default RetryPolicy: a busy or restarting daemon is
         # retried with backoff instead of failing the whole run
@@ -413,15 +418,16 @@ class _SuggestDir:
                   "forward pipeline runs in N worker processes (1 = "
                   "in-process, 'auto' picks a count from corpus size "
                   "and CPUs; with --server, overrides the daemon's "
-                  "per-request fan-out)",
+                  "per-request fan-out; ignored with --peers, which "
+                  "runs one remote shard per peer)",
         "bundle": "serve a trained bundle saved by `repro train "
                   "--bundle-out` (zero training steps); default trains "
                   "fast-profile models on the fly; with --server, the "
                   "*name* of a bundle the daemon serves",
         "cache_dir": "persistent suggestion cache: warm runs over "
                      "unchanged files skip parsing and inference "
-                     "(ignored with --server: the daemon owns the "
-                     "cache)",
+                     "(ignored with --server and --peers: the daemons "
+                     "own their caches)",
         "out": "write suggestions to this JSON file",
     }
     #: "<failing> failed: ..." when serving breaks mid-run
@@ -498,7 +504,8 @@ class _RewriteDir:
         "shards": "end-to-end corpus shards for the suggestion stage "
                   "(1 = in-process, 'auto' picks a count; with "
                   "--server, overrides the daemon's per-request "
-                  "fan-out)",
+                  "fan-out; ignored with --peers, which runs one "
+                  "remote shard per peer)",
         "bundle": "serve a trained bundle saved by `repro train "
                   "--bundle-out`; default trains fast-profile models "
                   "on the fly; with --server, the *name* of a bundle "
@@ -507,7 +514,7 @@ class _RewriteDir:
                      "runs skip parsing and inference for the "
                      "suggestion stage and replay stored verdicts "
                      "instead of re-simulating loops (ignored with "
-                     "--server)",
+                     "--server and --peers)",
         "out": "write rewrite results (including the full rewritten "
                "sources) to this JSON file",
     }
@@ -641,10 +648,15 @@ def dir_main(command, argv: list[str] | None = None) -> int:
     job = Job(command.mode, verify=args.verify)
     client = service = None
     if peers:
+        # one remote shard per peer, each peer serving from its own
+        # store without a deadline
+        _note_ignored(parser, args, "--peers",
+                      _LOCAL_FLAGS + ("--shards", "--deadline"))
         peer_bundles = _provision_fabric(peers, args.bundle)
         if peer_bundles is None:
             return 2
     elif args.server:
+        _note_ignored(parser, args, "--server", _LOCAL_FLAGS)
         client = _connect_server(args, job)
         if client is None:
             return 2
@@ -869,26 +881,27 @@ def serve_main(argv: list[str] | None = None) -> int:
     else:
         registry = None
 
-    cache_dir = args.cache_dir
-    ephemeral_cache = None
-    if cache_dir is None:
-        import tempfile
+    import tempfile
 
+    cache_dir = args.cache_dir
+    #: process-lifetime temp dirs, removed again on shutdown
+    ephemeral = []
+    if cache_dir is None:
         # without a store the daemon cannot share warm results across
         # clients — its whole reason to exist — so default to a
-        # process-lifetime temp store rather than no store (removed
-        # again on shutdown)
-        ephemeral_cache = tempfile.mkdtemp(prefix="repro-serve-cache-")
-        cache_dir = ephemeral_cache
+        # process-lifetime temp store rather than no store
+        cache_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")
+        ephemeral.append(cache_dir)
         print(f"serve: using ephemeral cache {cache_dir} "
               f"(pass --cache-dir to persist)", file=sys.stderr)
 
     if args.accept_bundles:
         if str(cache_dir).startswith("net:"):
-            import tempfile
-
+            # a network store has no local root to cache pushed
+            # archives under
             net_kwargs["bundle_cache_dir"] = tempfile.mkdtemp(
                 prefix="repro-serve-bundles-")
+            ephemeral.append(net_kwargs["bundle_cache_dir"])
         else:
             from pathlib import Path
 
@@ -949,10 +962,10 @@ def serve_main(argv: list[str] | None = None) -> int:
         pass
     finally:
         server.shutdown()
-        if ephemeral_cache is not None:
-            import shutil
+        import shutil
 
-            shutil.rmtree(ephemeral_cache, ignore_errors=True)
+        for path in ephemeral:
+            shutil.rmtree(path, ignore_errors=True)
     print("serve: drained and stopped", file=sys.stderr)
     return 0
 
@@ -1032,11 +1045,30 @@ def cache_main(argv: list[str] | None = None) -> int:
                            "JSON object")
     args = parser.parse_args(argv)
 
-    if args.action == "fsck":
-        from repro.serve import open_store
+    if (args.action == "gc" and args.max_bytes is None
+            and args.max_age_days is None):
+        print("cache gc: pass --max-bytes and/or --max-age-days "
+              "(otherwise there is nothing to prune)", file=sys.stderr)
+        return 2
+    from repro.client import ClientError
+    from repro.serve import open_store
 
-        report = open_store(args.cache_dir).fsck(
-            remove=not args.dry_run)
+    store = open_store(args.cache_dir)
+    try:
+        if args.action == "fsck":
+            report = store.fsck(remove=not args.dry_run)
+        elif args.action == "stats":
+            report = store.describe()
+        else:
+            report = store.gc(max_bytes=args.max_bytes,
+                              max_age_days=args.max_age_days)
+    except (ClientError, OSError) as exc:
+        # a net: store's maintenance raises when its daemon is gone
+        print(f"cannot reach store {args.cache_dir}: {exc}",
+              file=sys.stderr)
+        return 2
+
+    if args.action == "fsck":
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
             return 0
@@ -1052,13 +1084,12 @@ def cache_main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.action == "stats":
-        from repro.serve import open_store
         from repro.tools.deps import cache_stats as deps_cache_stats
 
         # note: no store hit/miss counters here — those are per-process
         # (this process did no lookups); the on-disk scan is the truth
         payload = {
-            "store": open_store(args.cache_dir).describe(),
+            "store": report,
             "analyze_loop": deps_cache_stats(),
         }
         if args.json:
@@ -1081,23 +1112,14 @@ def cache_main(argv: list[str] | None = None) -> int:
               f"entries, {memo['hits']} hits, {memo['misses']} misses")
         return 0
 
-    if args.max_bytes is None and args.max_age_days is None:
-        print("cache gc: pass --max-bytes and/or --max-age-days "
-              "(otherwise there is nothing to prune)", file=sys.stderr)
-        return 2
-    from repro.serve import open_store
-
-    result = open_store(args.cache_dir).gc(
-        max_bytes=args.max_bytes, max_age_days=args.max_age_days,
-    )
     if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
         return 0
-    print(f"cache gc: removed {result['removed_files']} entries "
-          f"({result['removed_bytes']} bytes), kept "
-          f"{result['kept_files']} ({result['kept_bytes']} bytes)")
+    print(f"cache gc: removed {report['removed_files']} entries "
+          f"({report['removed_bytes']} bytes), kept "
+          f"{report['kept_files']} ({report['kept_bytes']} bytes)")
     for layer in ("parse", "suggest", "verdict", "other"):
-        counters = result["layers"][layer]
+        counters = report["layers"][layer]
         if any(counters.values()):
             print(f"  {layer}: removed {counters['removed_files']} "
                   f"({counters['removed_bytes']} bytes), kept "

@@ -63,6 +63,7 @@ import binascii
 import hashlib
 import os
 import socket
+import tempfile
 import threading
 import time
 import traceback
@@ -913,9 +914,19 @@ class SuggestServer:
         cache.mkdir(parents=True, exist_ok=True)
         archive = cache / f"{digest}.tar.gz"
         if not archive.exists():
-            tmp = cache / f".{digest}.tmp-{os.getpid()}"
-            tmp.write_bytes(data)
-            os.replace(tmp, archive)
+            # a private temp file per push: concurrent pushes of one
+            # archive each rename their own copy into place
+            fd, tmp = tempfile.mkstemp(dir=cache, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(data)
+                os.replace(tmp, archive)
+            except BaseException:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise
         bundle = SuggesterBundle.load(archive)
         return build_service(bundle, self._serve_config,
                              cache_dir=self._cache_dir)

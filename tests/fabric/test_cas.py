@@ -9,7 +9,9 @@ against a live daemon ship an archive's bytes at most once per peer.
 import hashlib
 import os
 import socket
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +205,35 @@ class TestPushWire:
             assert client.bundle_have("0" * 64).have is False
             assert client.bundle_have(
                 archive_sha256(archive)).have is False
+
+    def test_concurrent_pushes_of_one_archive_both_land(
+            self, acceptor, archive, monkeypatch):
+        """Two clients pushing the same bytes at once: each stages its
+        own temp file, so neither rename finds its source gone."""
+        meet = threading.Barrier(2, timeout=30)
+        replace = os.replace
+
+        def rendezvous(src, dst):
+            if Path(dst).parent == acceptor.bundle_cache_dir:
+                meet.wait()
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", rendezvous)
+        data, replies = archive.read_bytes(), []
+
+        def push() -> None:
+            try:
+                with connect(acceptor.address) as client:
+                    replies.append(client.bundle_push(data, name="advisor"))
+            except ClientError as exc:
+                replies.append(exc)
+
+        threads = [threading.Thread(target=push) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert [type(r) for r in replies] == [protocol.BundlePushOk] * 2
 
     def test_garbage_archive_refused(self, acceptor):
         with connect(acceptor.address) as client:

@@ -275,6 +275,15 @@ class TestCacheGcCLI:
         report = json.loads(capsys.readouterr().out)
         assert report["layers"]["verdict"]["removed_files"] == 1
 
+    @pytest.mark.parametrize("action", [["stats"], ["fsck"],
+                                        ["gc", "--max-bytes", "0"]])
+    def test_unreachable_net_store_fails_cleanly(self, action, capsys):
+        store = f"net:{_dead_address()}"
+        assert main(["cache", action[0], store, *action[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot reach store {store}: " in err
+        assert "Traceback" not in err
+
 
 class TestSuggestDirCLI:
     SOURCE = """
@@ -458,6 +467,19 @@ class TestServerCLI:
         err = capsys.readouterr().err
         assert "does not serve bundle" in err
         assert "advisor" in err
+
+    def test_peers_note_names_ignored_flags(self, tmp_path, capsys):
+        (tmp_path / "k.c").write_text(TestSuggestDirCLI.SOURCE)
+        cache = tmp_path / "cache"
+        with self._stub_server().start() as srv:
+            assert main(["suggest-dir", str(tmp_path),
+                         "--peers", srv.address, "--bundle", "advisor",
+                         "--cache-dir", str(cache), "--shards", "3",
+                         "--quiet"]) == 0
+        err = capsys.readouterr().err
+        assert "note: --cache-dir, --shards are ignored with --peers" \
+            in err
+        assert not cache.exists()
 
     def test_bad_server_address_fails_cleanly(self, tmp_path, capsys):
         (tmp_path / "k.c").write_text(TestSuggestDirCLI.SOURCE)
