@@ -42,6 +42,7 @@ HEADLINES: dict[str, tuple[str, ...]] = {
     "BENCH_faults.json": ("recovery_efficiency",),
     "BENCH_listen.json": ("speedup",),
     "BENCH_rewrite.json": ("verify_efficiency",),
+    "BENCH_rounds.json": ("stream_ratio",),
     "BENCH_serve.json": ("speedup", "end_to_end_speedup"),
     "BENCH_shard_scaling.json": ("speedup",),
     "BENCH_train.json": ("speedup",),

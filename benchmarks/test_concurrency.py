@@ -133,7 +133,7 @@ def _solo_p50_ms(context, serve_config, cache_dir, window_ms,
 
 
 def _concurrency(context, tmp_path) -> dict:
-    serve_config = ServeConfig(workers=1, batch_size=512)
+    serve_config = ServeConfig(batch_size=512)
 
     serial_totals, serial_lats = [], []
     conc_totals, conc_lats = [], []

@@ -44,7 +44,7 @@ def _renders(results):
 
 
 def _timed_stream(context, corpus) -> tuple[float, list]:
-    config = ServeConfig(workers=1, batch_size=512,
+    config = ServeConfig(batch_size=512,
                          heartbeat_s=5.0, retry_backoff_s=0.01)
     best_s, best_results = float("inf"), None
     for _ in range(2):

@@ -38,7 +38,7 @@ def _listen_latency(context, tmp_path) -> dict:
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     paths = _write_corpus(corpus)
-    serve_config = ServeConfig(workers=1, batch_size=512)
+    serve_config = ServeConfig(batch_size=512)
 
     # cold baseline: every file pays a fresh, uncached service — the
     # per-invocation story the daemon replaces

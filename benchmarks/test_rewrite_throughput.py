@@ -43,8 +43,7 @@ def _corpus() -> list[tuple[str, str]]:
 
 def _measure(context) -> dict:
     named = _corpus()
-    service = build_service(context, ServeConfig(workers=1,
-                                                 batch_size=512))
+    service = build_service(context, ServeConfig(batch_size=512))
     list(service.stream_sources(named))          # warm the suggestion store
 
     # best-of-2 per side: single samples are too noisy for a ratio

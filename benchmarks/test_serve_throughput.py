@@ -5,7 +5,7 @@ for L loops and C clause families; ``repro.serve`` extracts every loop,
 deduplicates repeated sources (crawled corpora are redundant — the
 paper had to deduplicate its own crawl), encodes each distinct loop
 once against the shared vocab, and runs one block-diagonal forward per
-model for the whole workload.
+model per round of files.
 
 The corpus is ≥50 distinct synthetic loops across generated files, with
 a realistic duplication tail (the same files appearing under new names,
@@ -23,7 +23,7 @@ from conftest import run_once, write_bench_artifact
 from repro.dataset.corpus import CorpusGenerator
 from repro.eval.generation import build_suggester
 from repro.serve import ServeConfig, build_service
-from repro.serve.parse import parse_many
+from repro.serve.parse import parse_one
 
 MIN_DISTINCT_LOOPS = 50
 #: fraction of files repeated under a second name (fork/copy redundancy)
@@ -41,11 +41,11 @@ def _corpus() -> list[tuple[str, str]]:
 
 def _compare_paths(context) -> dict:
     named = _corpus()
-    config = ServeConfig(workers=1, batch_size=512)
+    config = ServeConfig(batch_size=512)
     per_loop = build_suggester(context)
 
     # identical inputs for both paths: the serve parse stage's requests
-    parsed = parse_many(named, workers=1)
+    parsed = [parse_one(item) for item in named]
     requests = [req for pf in parsed for req in pf.requests]
     distinct = len({(r.source, r.live_out) for r in requests})
 

@@ -49,7 +49,7 @@ def _shard_vs_batch(context, tmp_path) -> dict:
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     n_files = _write_corpus(corpus)
-    serve_config = ServeConfig(workers=1, batch_size=512)
+    serve_config = ServeConfig(batch_size=512)
 
     # models come pre-trained from the shared context; workers inherit
     # them through the process spawn, so both sides measure only the

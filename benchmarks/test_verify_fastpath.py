@@ -80,11 +80,11 @@ def _measure(context, cache_dir) -> dict:
     # -- cold vs warm verdict cache -----------------------------------
     # fresh services against one persistent store: the second run must
     # replay every verdict instead of simulating
-    cold = build_service(context, ServeConfig(workers=1, batch_size=512),
+    cold = build_service(context, ServeConfig(batch_size=512),
                          cache_dir=cache_dir)
     list(cold.stream_sources(named, job=REWRITE))
     cold_stats = cold.cache_stats()["verify"]
-    warm = build_service(context, ServeConfig(workers=1, batch_size=512),
+    warm = build_service(context, ServeConfig(batch_size=512),
                          cache_dir=cache_dir)
     list(warm.stream_sources(named, job=REWRITE))
     warm_stats = warm.cache_stats()["verify"]

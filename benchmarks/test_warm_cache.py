@@ -35,7 +35,7 @@ def _cold_vs_warm(context, tmp_path) -> dict:
     corpus.mkdir()
     n_files = _write_corpus(corpus)
     cache_dir = tmp_path / "cache"
-    serve_config = ServeConfig(workers=1, batch_size=512)
+    serve_config = ServeConfig(batch_size=512)
 
     # models come pre-trained from the shared context; only the serving
     # pipeline is measured on both sides

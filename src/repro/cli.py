@@ -320,8 +320,8 @@ def _read_corpus(directory, pattern: str) -> list[tuple[str, str]] | None:
 
 #: flags only the in-process backend reads: remote daemons serve with
 #: their own models, stores and config
-_LOCAL_FLAGS = ("--workers", "--batch-size", "--cache-dir", "--scale",
-                "--seed", "--epochs", "--dim")
+_LOCAL_FLAGS = ("--batch-size", "--cache-dir", "--scale", "--seed",
+                "--epochs", "--dim")
 
 
 def _note_ignored(parser, args, backend: str, flags: tuple) -> None:
@@ -366,12 +366,17 @@ def _connect_server(args, job):
 
 def _local_service(args):
     """The in-process service over a loaded ``--bundle`` or on-the-fly
-    models, or ``None`` (after printing why) for a bad bundle."""
+    models, or ``None`` (after printing why) for a bad bundle or
+    batch size."""
     from repro.serve import ServeConfig, build_service
 
-    serve_config = ServeConfig(
-        workers=args.workers, batch_size=args.batch_size,
-        shards=args.shards if args.shards is not None else 1)
+    try:
+        serve_config = ServeConfig(
+            batch_size=args.batch_size,
+            shards=args.shards if args.shards is not None else 1)
+    except ValueError as exc:
+        print(f"bad --batch-size: {exc}", file=sys.stderr)
+        return None
     if args.bundle:
         from repro.artifacts import ArtifactError, SuggesterBundle
 
@@ -590,8 +595,6 @@ def dir_main(command, argv: list[str] | None = None) -> int:
                         help=command.help["server"])
     parser.add_argument("--peers", default=None, metavar="A,B",
                         help=command.help["peers"])
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parse-stage worker processes (1 = in-process)")
     parser.add_argument("--shards", type=_shards_arg, default=None,
                         help=command.help["shards"])
     parser.add_argument("--stream", action="store_true",
@@ -601,7 +604,7 @@ def dir_main(command, argv: list[str] | None = None) -> int:
                              "(the human-readable summary goes to "
                              "stderr)")
     parser.add_argument("--batch-size", type=int, default=256,
-                        help="graphs per forward pass")
+                        help="graphs per forward pass and loops per full round (≥1)")
     parser.add_argument("--bundle", default=None,
                         help=command.help["bundle"])
     parser.add_argument("--cache-dir", default=None,
@@ -774,15 +777,13 @@ def serve_main(argv: list[str] | None = None) -> int:
                              "every client (default: a fresh "
                              "per-daemon temp dir, so concurrent "
                              "clients still share warm results)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parse-stage worker processes per request")
     parser.add_argument("--shards", type=_shards_arg, default=1,
                         help="default end-to-end shard fan-out per "
                              "request ('auto' picks from corpus size "
                              "and CPUs; clients can override per "
                              "request)")
     parser.add_argument("--batch-size", type=int, default=256,
-                        help="graphs per forward pass")
+                        help="graphs per forward pass and loops per full round (≥1)")
     parser.add_argument("--scale", type=float, default=0.02,
                         help="training-set scale for the on-the-fly "
                              "models when no --bundle is given")
@@ -835,9 +836,12 @@ def serve_main(argv: list[str] | None = None) -> int:
     if not _arm_faults(args.faults):
         return 2
 
-    serve_config = ServeConfig(workers=args.workers,
-                               batch_size=args.batch_size,
-                               shards=args.shards)
+    try:
+        serve_config = ServeConfig(batch_size=args.batch_size,
+                                   shards=args.shards)
+    except ValueError as exc:
+        print(f"bad --batch-size: {exc}", file=sys.stderr)
+        return 2
     net_kwargs = {}
     if args.unix:
         net_kwargs["unix_path"] = args.unix

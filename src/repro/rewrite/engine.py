@@ -243,11 +243,10 @@ def rewrite_file(name: str, source: str, file_suggestions, *,
     :class:`~repro.serve.pipeline.FileSuggestions` (or anything with
     ``suggestions`` / ``error``).  Fresh suggestions carry the parse
     they were computed from, and each loop and its live-out set come
-    straight from it.  Suggestions replayed from the store, revived
-    from the wire or parsed in a pool worker carry none: the file is
-    parsed again and each suggestion aligned with its outermost loop in
-    extraction order, where a mismatch refuses with ``misaligned``
-    rather than guessing.  The returned ``rewritten_source`` is the
+    straight from it.  Suggestions replayed from the store or revived
+    from the wire carry none: the file is parsed again and each
+    suggestion aligned with its outermost loop in extraction order,
+    where a mismatch refuses with ``misaligned`` rather than guessing.  The returned ``rewritten_source`` is the
     whole file with accepted pragmas attached — refused and sequential
     loops keep their original text.  A shared parse is left as it came:
     every pragma attached here is restored before returning.

@@ -32,7 +32,7 @@ torn store writes and refused bundle loads so all of it is testable.
 
 from repro.serve.faults import Fault, FaultError, FaultPlan
 from repro.serve.job import REWRITE, SUGGEST, Job
-from repro.serve.parse import ParsedFile, parse_many, parse_one
+from repro.serve.parse import ParsedFile, parse_one
 from repro.serve.pipeline import (
     FileSuggestions,
     ServeConfig,
@@ -82,7 +82,6 @@ __all__ = [
     "content_key",
     "merge_results",
     "open_store",
-    "parse_many",
     "parse_one",
     "plan_peer_shards",
     "plan_shards",

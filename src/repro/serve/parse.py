@@ -1,20 +1,18 @@
-"""CPU-bound file-parse stage of the suggestion service.
+"""File-parse stage of the suggestion service.
 
-The cfront frontend is pure python and dominates serving latency for
-large corpora, so this stage can fan out over a process pool.  Workers
-exchange only plain picklable payloads (loop sources + live-out name
-sets wrapped in :class:`~repro.suggest.LoopRequest`), never AST
-objects; files the frontend rejects come back as per-file errors, the
-way the paper's pipeline dropped files Clang rejected.  An in-process
-parse keeps each file's translation unit beside its requests, so a
-rewrite attaches pragmas to that parse instead of parsing again.
+The cfront frontend is pure python.  The service parses one file at a
+time, in process, as it fills each round
+(:meth:`~repro.serve.pipeline.SuggestionService.iter_sources`); corpora
+parallelise across shard workers, never inside this stage.  Files the
+frontend rejects come back as per-file errors, the way the paper's
+pipeline dropped files Clang rejected.  Each parse keeps its file's
+translation unit beside its requests, so a rewrite attaches pragmas to
+that parse instead of parsing again.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 from repro.cfront import ParseError, TranslationUnit, parse_source
 from repro.cfront.lexer import LexError
@@ -39,9 +37,9 @@ class ParsedFile:
     def to_payload(self) -> dict:
         """JSON-safe payload for the persistent parse cache.
 
-        Attached ASTs are deliberately dropped (like the process-pool
-        path): cached requests re-parse lazily on use, which keeps the
-        cache plain data and the suggestions identical either way.
+        Attached ASTs are deliberately dropped: cached requests
+        re-parse lazily on use, which keeps the cache plain data and
+        the suggestions identical either way.
         """
         return {
             "error": self.error,
@@ -64,43 +62,12 @@ class ParsedFile:
         )
 
 
-def parse_one(item: tuple[str, str], with_asts: bool = True) -> ParsedFile:
-    """(name, source) → extracted loop requests, or a per-file error.
-
-    ``with_asts=False`` keeps the requests plain (no attached loop
-    statements, no translation unit) so they pickle cheaply across
-    process boundaries.
-    """
+def parse_one(item: tuple[str, str]) -> ParsedFile:
+    """(name, source) → extracted loop requests, or a per-file error."""
     name, source = item
     try:
         tu = parse_source(source)
-        return ParsedFile(
-            name=name, requests=file_requests(tu, with_asts=with_asts),
-            tu=tu if with_asts else None,
-        )
+        return ParsedFile(name=name, requests=file_requests(tu), tu=tu)
     except (ParseError, LexError, RecursionError) as exc:
         return ParsedFile(name=name,
                           error=f"{type(exc).__name__}: {exc}")
-
-
-def parse_many(
-    named_sources: list[tuple[str, str]],
-    workers: int = 1,
-) -> list[ParsedFile]:
-    """Parse many ``(name, source)`` pairs, preserving order.
-
-    ``workers <= 1`` (or a single file) runs in-process; otherwise a
-    :class:`ProcessPoolExecutor` spreads the CPU-bound frontend across
-    cores.  Environments that cannot spawn processes fall back to the
-    serial path rather than failing the request.
-    """
-    items = list(named_sources)
-    if workers <= 1 or len(items) < 2:
-        return [parse_one(item) for item in items]
-    chunksize = max(1, len(items) // (workers * 4))
-    plain = partial(parse_one, with_asts=False)
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(plain, items, chunksize=chunksize))
-    except (OSError, PermissionError):
-        return [parse_one(item) for item in items]

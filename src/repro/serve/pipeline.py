@@ -4,12 +4,13 @@ Per-loop serving costs ``L×(C+1)`` single-graph forward passes for L
 loops and C clause families, each preceded by its own parse + graph
 build + encode.  :class:`SuggestionService` restructures that into
 
-1. a (optionally multiprocess) parse stage over whole files,
+1. a parse stage over whole files, one file at a time,
 2. one encode per distinct loop source per vocabulary — models that
    agree on (representation, vocab content) share an
    :class:`~repro.graphs.encode.EncodeCache`,
-3. one block-diagonal ``collate`` + forward per model for the whole
-   workload (chunked at ``batch_size`` graphs for memory),
+3. one block-diagonal ``collate`` + forward per model per *round* of
+   files, rounds doubling from :data:`FIRST_ROUND_LOOPS` loops up to
+   ``batch_size``, so the first files stream out after one small round,
 4. a fan-out back to per-file :class:`FileSuggestions`.
 
 Corpora additionally shard end-to-end: ``stream_sources`` with
@@ -37,20 +38,26 @@ from __future__ import annotations
 import inspect
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 
 from repro.serve.job import SUGGEST, Job
-from repro.serve.parse import ParsedFile, parse_many
+from repro.serve.parse import ParsedFile, parse_one
 from repro.serve.store import SuggestionStore, content_key, open_store
-from repro.suggest import LoopRequest, PragmaSuggester, Suggestion
+from repro.suggest import PragmaSuggester, Suggestion
+
+
+#: loops in the first round of a pass; each later round holds twice as
+#: many, up to ``ServeConfig.batch_size``
+FIRST_ROUND_LOOPS = 16
 
 
 @dataclass(frozen=True)
 class ServeConfig:
     """Knobs of the serving pipeline."""
 
-    workers: int = 1          # parse-stage processes (1 = in-process)
-    batch_size: int = 256     # graphs per collate in the forward pass
+    workers: int = 1          # must be 1: rounds parse in process
+    batch_size: int = 256     # graphs per collate; loops per full round
     cache_entries: int = 4096  # per-vocab encode-cache capacity
     #: end-to-end corpus shards; 1 = in-process, "auto" (or 0) picks a
     #: count from corpus stats and CPU count (1 CPU stays in-process)
@@ -64,6 +71,13 @@ class ServeConfig:
     heartbeat_s: float = 30.0
     #: base of the exponential respawn backoff (doubles per death)
     retry_backoff_s: float = 0.05
+
+    def __post_init__(self) -> None:
+        if self.workers != 1:
+            raise ValueError("workers must be 1: there is no parse pool; "
+                             "spread a corpus over cores with --shards")
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
 
 
 @dataclass
@@ -259,9 +273,13 @@ class SuggestionService:
 
         Completion order inside one workload: store-cached files first
         (they skip the whole pipeline and cost one disk read each),
-        then computed files in input order once the shared batched
-        forward has run.  This is the in-process streaming core that
-        both the collecting wrappers and the shard workers drive.
+        then the rest in input order, round by round (:meth:`_rounds`):
+        one batched forward per model per round, whose files are yielded
+        before the next round is parsed, so the first costs one small
+        round and no pass holds every file's parse at once.
+        Rounds never change a file's own numbers.  This is the
+        in-process streaming core that both the collecting wrappers and
+        the shard workers drive.
         """
         named = list(named_sources)
         store = self.store
@@ -279,45 +297,55 @@ class SuggestionService:
             else:
                 pending.append(i)
 
-        # parse stage: store-cached parses first, frontend for the rest
-        parsed_by_index: dict[int, ParsedFile] = {}
-        to_parse = pending
-        if store is not None:
-            to_parse = []
-            for i in pending:
-                payload = store.get_parse(keys[i])
-                revived = (None if payload is None else
-                           _revive(ParsedFile, named[i][0], payload))
-                if revived is not None:
-                    parsed_by_index[i] = revived
-                else:
-                    to_parse.append(i)
-        fresh = parse_many([named[i] for i in to_parse],
-                           workers=self.config.workers)
-        for i, pf in zip(to_parse, fresh):
-            parsed_by_index[i] = pf
-            if store is not None:
-                store.put_parse(keys[i], pf.to_payload())
+        for batch in self._rounds(named, keys, pending):
+            flat = [req for _, pf in batch for req in pf.requests]
+            # Collate sharing is per round: ``id()`` keys must not
+            # outlive the graphs they describe.
+            self._collate_cache.clear()
+            suggestions = iter(self.suggester.suggest_batch(flat))
+            self._collate_cache.clear()
+            for i, pf in batch:
+                fs = FileSuggestions(
+                    name=pf.name, error=pf.error, parsed=pf,
+                    suggestions=list(islice(suggestions,
+                                            len(pf.requests))))
+                if store is not None:
+                    store.put_suggestions(self._model_key, keys[i],
+                                          fs.to_payload())
+                yield i, fs
 
-        parsed = [parsed_by_index[i] for i in pending]
-        spans: list[tuple[int, int]] = []
-        flat: list[LoopRequest] = []
-        for pf in parsed:
-            spans.append((len(flat), len(flat) + len(pf.requests)))
-            flat.extend(pf.requests)
-        # Collate sharing is per-workload: ``id()`` keys must not outlive
-        # the graphs they describe.
-        self._collate_cache.clear()
-        suggestions = self.suggester.suggest_batch(flat) if flat else []
-        self._collate_cache.clear()
-        for i, pf, (lo, hi) in zip(pending, parsed, spans):
-            fs = FileSuggestions(name=pf.name,
-                                 suggestions=suggestions[lo:hi],
-                                 error=pf.error, parsed=pf)
-            if store is not None:
-                store.put_suggestions(self._model_key, keys[i],
-                                      fs.to_payload())
-            yield i, fs
+    def _rounds(
+        self, named: list[tuple[str, str]], keys: list[str],
+        pending: list[int],
+    ) -> Iterator[list[tuple[int, ParsedFile]]]:
+        """``pending``'s files as rounds of ``(input_index,
+        ParsedFile)``, each parsed only when the round is asked for.
+
+        Files parse one at a time in input order (a stored parse, else
+        the frontend) until the round holds its target number of loops;
+        every file counts at least one, so loop-less or unparseable
+        files never hold a round open.  The target starts at
+        :data:`FIRST_ROUND_LOOPS` and doubles per round up to
+        ``config.batch_size``.
+        """
+        store = self.store
+        target = min(FIRST_ROUND_LOOPS, self.config.batch_size)
+        batch: list[tuple[int, ParsedFile]] = []
+        loops = 0
+        for n, i in enumerate(pending, 1):
+            payload = None if store is None else store.get_parse(keys[i])
+            pf = None if payload is None else _revive(
+                ParsedFile, named[i][0], payload)
+            if pf is None:
+                pf = parse_one(named[i])
+                if store is not None:
+                    store.put_parse(keys[i], pf.to_payload())
+            batch.append((i, pf))
+            loops += max(1, len(pf.requests))
+            if loops >= target or n == len(pending):
+                yield batch
+                batch, loops = [], 0
+                target = min(2 * target, self.config.batch_size)
 
     def iter_joint(
         self, workloads: list[tuple[object, list[tuple[str, str]]]],
@@ -333,9 +361,9 @@ class SuggestionService:
         This generalises the fan-out key from (request, file) to
         (client, request, file): files with identical *content* across
         different clients' requests are parsed, encoded and forwarded
-        exactly once — one warm block-diagonal forward answers every
-        client — and the per-(tag, index) fan-out re-labels the shared
-        result with each request's own file name.  Per-file results are
+        exactly once — one warm block-diagonal forward per round
+        answers every client — and the per-(tag, index) fan-out
+        re-labels the shared result with each request's own file name.  Per-file results are
         byte-identical to serving each workload alone: batching only
         changes how much work is shared, never a file's own numbers.
         """
@@ -448,10 +476,8 @@ class SuggestionService:
 
         store_root = None if self.store is None else str(self.store.base)
         return WorkerSpec(
-            # shard workers are daemonic: they can neither re-shard nor
-            # host a nested parse pool, and sharding already owns the
-            # process-level parallelism
-            config=replace(self.config, shards=1, workers=1),
+            # shard workers are daemonic: they cannot re-shard
+            config=replace(self.config, shards=1),
             store_root=store_root,
             # free under fork, a few MB of pickle under spawn
             models=self._source_models,

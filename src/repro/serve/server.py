@@ -1210,7 +1210,7 @@ class SuggestServer:
         (``request.shards`` / server config); a multi-request round is
         joined through :meth:`SuggestionService.iter_joint` — one
         in-process pipeline pass, one block-diagonal forward per
-        model, content-level dedup across clients.  Results are
+        model per round, content-level dedup across clients.  Results are
         handed back to the event loop per file as they complete.
         """
         loop = self._loop

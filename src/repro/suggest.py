@@ -70,9 +70,9 @@ class LoopRequest:
     ``lastprivate`` for correctness.  ``ast`` optionally carries the
     already-parsed loop statement so batch consumers skip a re-parse;
     it is advisory (never part of equality) and is dropped when a
-    request is pickled — shard workers and parse pools exchange plain
-    sources and re-parse lazily, which keeps the wire payload small and
-    the suggestions identical either way.
+    request is pickled or stored, and such requests re-parse lazily,
+    which keeps payloads small and the suggestions identical either
+    way.
     """
 
     source: str
@@ -252,9 +252,10 @@ class PragmaSuggester:
         return self.suggest_batch(file_requests(parse_source(source)))
 
 
-def file_requests(tu, with_asts: bool = True) -> list[LoopRequest]:
+def file_requests(tu) -> list[LoopRequest]:
     """Every outermost loop of a parsed C file (its translation unit)
-    as a :class:`LoopRequest`.
+    as a :class:`LoopRequest`, carrying its already-parsed loop
+    statement so nothing downstream parses it again.
 
     Loops are paired with per-function liveness so suggestion paths
     (single-file and batched serving) share one extraction/alignment
@@ -262,10 +263,6 @@ def file_requests(tu, with_asts: bool = True) -> list[LoopRequest]:
     samples, liveness falls back to empty sets for *that function
     only* — a mismatch must not drop ``lastprivate`` correctness for
     every other loop in the file.
-
-    ``with_asts`` threads the already-parsed loop statements into the
-    requests (skipping a re-parse downstream); pass ``False`` when the
-    requests must cross a process boundary.
     """
     requests: list[LoopRequest] = []
     for fn, samples in extract_loops_by_function(tu):
@@ -278,7 +275,7 @@ def file_requests(tu, with_asts: bool = True) -> list[LoopRequest]:
             )
             requests.append(LoopRequest(
                 source=sample.source, live_out=live_out,
-                ast=loops[i] if aligned and with_asts else None,
+                ast=loops[i] if aligned else None,
             ))
     return requests
 

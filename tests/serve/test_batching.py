@@ -92,6 +92,8 @@ class TestIterJoint:
         workloads = [
             ("req-a", [("a.c", GOOD_SOURCE), ("b.c", OTHER_SOURCE)]),
             ("req-b", [("c.c", OTHER_SOURCE), ("d.c", _variant(1))]),
+            # 80 loops: the joint pass spans several rounds
+            ("req-c", [(f"v{i}.c", _variant(i)) for i in range(2, 42)]),
         ]
         joint: dict = {}
         for tag, i, fs in _service().iter_joint(workloads):

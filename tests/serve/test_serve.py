@@ -8,12 +8,15 @@ import pytest
 from repro.cfront import parse_loop
 from repro.graphs import EncodeCache, build_aug_ast, build_graph_vocab
 from repro.serve import (
+    REWRITE,
+    SUGGEST,
     FileSuggestions,
     ServeConfig,
     SuggestionService,
-    parse_many,
     parse_one,
 )
+from repro.serve import pipeline
+from repro.serve.pipeline import FIRST_ROUND_LOOPS
 from repro.suggest import PragmaSuggester
 
 GOOD_SOURCE = """
@@ -34,6 +37,20 @@ void scale(void) {
 """
 
 BAD_SOURCE = "void broken(void) { for (i = 0; i < ; }"
+
+LOOPLESS_SOURCE = "double unused;\nvoid nothing(void) { unused = 1.0; }\n"
+
+
+def _mixed_corpus(n: int = 40) -> list[tuple[str, str]]:
+    """``n`` distinct files cycling through two-loop, one-loop,
+    unparseable and loop-less sources, every loop distinct: 40 files
+    span three rounds."""
+    bases = [GOOD_SOURCE, OTHER_SOURCE, GOOD_SOURCE, BAD_SOURCE,
+             LOOPLESS_SOURCE]
+    return [(f"f{i}.c", bases[i % len(bases)]
+             .replace("100", str(100 + i)).replace("50", str(50 + i))
+             + f"/* variant {i} */\n")
+            for i in range(n)]
 
 
 def _read_dir(directory):
@@ -110,15 +127,81 @@ class TestParseStage:
         assert pf.error is not None
         assert pf.requests == []
 
-    def test_parallel_parse_matches_serial(self):
-        items = [("a.c", GOOD_SOURCE), ("b.c", OTHER_SOURCE),
-                 ("c.c", BAD_SOURCE), ("d.c", GOOD_SOURCE)]
-        serial = parse_many(items, workers=1)
-        parallel = parse_many(items, workers=2)
-        assert [p.name for p in parallel] == [p.name for p in serial]
-        assert [p.requests for p in parallel] == [p.requests for p in serial]
-        assert [p.error is None for p in parallel] == \
-               [p.error is None for p in serial]
+
+class TestServeConfig:
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_refused(self, batch_size):
+        with pytest.raises(ValueError, match="batch size"):
+            ServeConfig(batch_size=batch_size)
+
+
+class TestRounds:
+    """A pass runs in rounds of files, the first holding
+    ``FIRST_ROUND_LOOPS`` loops and each later one twice as many up to
+    ``batch_size``: a file is yielded once its round is done, never
+    after the whole pass, and its result does not depend on the round
+    it landed in."""
+
+    @staticmethod
+    def _count_parses(monkeypatch) -> list[str]:
+        parsed: list[str] = []
+        real = pipeline.parse_one
+
+        def counting(item):
+            parsed.append(item[0])
+            return real(item)
+
+        monkeypatch.setattr(pipeline, "parse_one", counting)
+        return parsed
+
+    @pytest.mark.parametrize("job", [SUGGEST, REWRITE],
+                             ids=["suggest", "rewrite"])
+    def test_rounds_match_each_file_served_alone(self, job):
+        named = _mixed_corpus()
+        parallel, clauses = _stub_models(parallel=1, reduction=1)
+        whole = {i: result.to_payload() for i, result
+                 in job.run(SuggestionService(parallel, clauses), named)}
+        assert len(parallel.calls) >= 3          # three rounds at least
+        for i, item in enumerate(named):
+            solo = SuggestionService(*_stub_models(parallel=1, reduction=1))
+            [(_, result)] = job.run(solo, [item])
+            assert whole[i] == result.to_payload()
+
+    def test_first_file_lands_after_one_round(self, monkeypatch):
+        parsed = self._count_parses(monkeypatch)
+        named = _mixed_corpus()
+        parallel, clauses = _stub_models(parallel=1, reduction=1)
+        stream = SuggestionService(parallel, clauses).iter_sources(named)
+        assert next(stream)[0] == 0
+        # one forward over one round: fewer than FIRST_ROUND_LOOPS loops
+        # before the file that closed it, which holds at most two
+        assert len(parallel.calls) == 1
+        assert parallel.calls[0] < FIRST_ROUND_LOOPS + 2
+        assert len(parsed) < len(named)
+        stream.close()
+
+    def test_loopless_files_do_not_hold_a_round_open(self, monkeypatch):
+        parsed = self._count_parses(monkeypatch)
+        named = ([(f"empty{i}.c", LOOPLESS_SOURCE) for i in range(30)]
+                 + _mixed_corpus(10))
+        parallel, clauses = _stub_models()
+        stream = SuggestionService(parallel, clauses).iter_sources(named)
+        first, fs = next(stream)
+        assert (first, fs.suggestions, fs.error) == (0, [], None)
+        # every file counts as one loop: the first round closes after
+        # FIRST_ROUND_LOOPS loop-less files, with no forward to run
+        assert len(parsed) == FIRST_ROUND_LOOPS < len(named)
+        assert parallel.calls == []
+        assert len(list(stream)) == len(named) - 1
+
+    def test_rounds_double_up_to_batch_size(self):
+        named = [(f"f{i}.c", OTHER_SOURCE.replace("50", str(50 + i)))
+                 for i in range(100)]
+        parallel, clauses = _stub_models()
+        service = SuggestionService(parallel, clauses,
+                                    ServeConfig(batch_size=40))
+        assert len(list(service.iter_sources(named))) == 100
+        assert parallel.calls == [16, 32, 40, 12]
 
 
 class TestSuggestionService:
@@ -179,7 +262,7 @@ class TestSuggestionService:
         (tmp_path / "notes.txt").write_text("not C")
         parallel, clauses = _stub_models(parallel=1)
         service = SuggestionService(parallel, clauses,
-                                    ServeConfig(workers=1))
+                                    ServeConfig())
         results = list(service.stream_sources(_read_dir(tmp_path)))
         assert [r.name.endswith(("k1.c", "k2.c")) for r in results] == \
                [True, True]

@@ -99,7 +99,7 @@ def _service(store, vocab=None, name="fake"):
     parallel = _FakeTrained(1, vocab, name=name)
     clauses = {c: _FakeTrained(0, vocab, name=f"{name}-{c}")
                for c in ("reduction", "private")}
-    return SuggestionService(parallel, clauses, ServeConfig(workers=1),
+    return SuggestionService(parallel, clauses, ServeConfig(),
                              store=store)
 
 

@@ -136,15 +136,11 @@ class TestStreamingEquivalence:
         via_config = list(_service(shards=2).stream_sources(named))
         assert _renders(via_config) == _renders(batch)
 
-    def test_shards_compose_with_parse_workers(self):
-        # daemonic shard workers cannot host a nested parse pool; the
-        # spec must strip config.workers instead of crashing the shard
-        named = _corpus(6)
-        batch = list(_service().stream_sources(named))
-        combined = list(_service(workers=2).stream_sources(
-            named, ordered=True, shards=2,
-        ))
-        assert _renders(combined) == _renders(batch)
+    def test_parse_workers_are_refused(self):
+        # there is no parse pool: files parse in process, round by
+        # round, and shards spread a corpus over cores
+        with pytest.raises(ValueError, match="--shards"):
+            ServeConfig(workers=2)
 
 
 class TestSharedStore:

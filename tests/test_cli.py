@@ -493,6 +493,13 @@ class TestServerCLI:
         with pytest.raises(SystemExit):
             main(["serve"])
 
+    def test_serve_rejects_batch_size_below_one(self, capsys):
+        from repro.cli import serve_main
+
+        assert serve_main(["--listen", "127.0.0.1:0",
+                           "--batch-size", "-1"]) == 2
+        assert "batch size must be at least 1" in capsys.readouterr().err
+
     def test_serve_rejects_bad_listen_address(self, capsys):
         from repro.cli import serve_main
 
@@ -643,6 +650,15 @@ class TestDirCommandsCLI:
             err = capsys.readouterr().err
             assert f"cannot read {bad}: " in err
             assert "Traceback" not in err
+
+    def test_batch_size_below_one_fails_cleanly(self, command, tmp_path,
+                                                capsys):
+        (tmp_path / "k.c").write_text(TestSuggestDirCLI.SOURCE)
+        assert main([command, str(tmp_path), *self.FLAGS,
+                     "--batch-size", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "bad --batch-size: batch size must be at least 1, got 0"]
 
     def test_unreachable_server_fails_cleanly(self, command, tmp_path,
                                               capsys):
