@@ -635,7 +635,15 @@ def dir_main(command, argv: list[str] | None = None) -> int:
 
     if not _arm_faults(args.faults):
         return 2
+    if args.deadline is not None and not args.deadline > 0:
+        print(f"bad --deadline: must be a positive number of seconds, "
+              f"got {args.deadline:g}", file=sys.stderr)
+        return 2
     peers = _parse_peers(args.peers)
+    if args.peers is not None and not peers:
+        print(f"--peers names no daemon address: {args.peers!r}",
+              file=sys.stderr)
+        return 2
     if peers and args.server:
         print("--peers and --server are mutually exclusive",
               file=sys.stderr)
@@ -842,14 +850,20 @@ def serve_main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"bad --batch-size: {exc}", file=sys.stderr)
         return 2
+    for flag, value in (("--queue-depth", args.queue_depth),
+                        ("--round-files", args.round_files)):
+        if value is not None and value < 1:
+            print(f"bad {flag}: must be at least 1, got {value}",
+                  file=sys.stderr)
+            return 2
     net_kwargs = {}
     if args.unix:
         net_kwargs["unix_path"] = args.unix
     else:
         host, sep, port = args.listen.rpartition(":")
-        if not sep or not port.isdigit():
-            print(f"--listen expects HOST:PORT, got {args.listen!r}",
-                  file=sys.stderr)
+        if not sep or not port.isdigit() or int(port) > 65535:
+            print(f"--listen expects HOST:PORT with PORT in 0-65535, "
+                  f"got {args.listen!r}", file=sys.stderr)
             return 2
         net_kwargs["host"] = host or "127.0.0.1"
         net_kwargs["port"] = int(port)
@@ -885,89 +899,92 @@ def serve_main(argv: list[str] | None = None) -> int:
     else:
         registry = None
 
+    import shutil
+    import signal
     import tempfile
+    from pathlib import Path
 
     cache_dir = args.cache_dir
     #: process-lifetime temp dirs, removed again on shutdown
     ephemeral = []
-    if cache_dir is None:
-        # without a store the daemon cannot share warm results across
-        # clients — its whole reason to exist — so default to a
-        # process-lifetime temp store rather than no store
-        cache_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")
-        ephemeral.append(cache_dir)
-        print(f"serve: using ephemeral cache {cache_dir} "
-              f"(pass --cache-dir to persist)", file=sys.stderr)
+    try:
+        if cache_dir is None:
+            # without a store the daemon cannot share warm results
+            # across clients — its whole reason to exist — so default
+            # to a process-lifetime temp store rather than no store
+            cache_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")
+            ephemeral.append(cache_dir)
+            print(f"serve: using ephemeral cache {cache_dir} "
+                  f"(pass --cache-dir to persist)", file=sys.stderr)
 
-    if args.accept_bundles:
-        if str(cache_dir).startswith("net:"):
-            # a network store has no local root to cache pushed
-            # archives under
-            net_kwargs["bundle_cache_dir"] = tempfile.mkdtemp(
-                prefix="repro-serve-bundles-")
-            ephemeral.append(net_kwargs["bundle_cache_dir"])
+        if args.accept_bundles:
+            if str(cache_dir).startswith("net:"):
+                # a network store has no local root to cache pushed
+                # archives under
+                net_kwargs["bundle_cache_dir"] = tempfile.mkdtemp(
+                    prefix="repro-serve-bundles-")
+                ephemeral.append(net_kwargs["bundle_cache_dir"])
+            else:
+                net_kwargs["bundle_cache_dir"] = Path(cache_dir) / "bundles"
+
+        services = {}
+        if registry is not None:
+            note = (f"serve: loaded bundles {registry.names()} "
+                    f"(default: {registry.default})")
+        elif args.accept_bundles:
+            # self-provisioning peer: no training, no bundles — every
+            # advisor arrives as a content-addressed push from a client
+            note = "serve: no advisors yet; accepting pushed bundles"
         else:
-            from pathlib import Path
+            from repro.eval.config import ExperimentConfig
+            from repro.eval.context import get_context
 
-            net_kwargs["bundle_cache_dir"] = Path(cache_dir) / "bundles"
+            ctx = get_context(ExperimentConfig(
+                scale=args.scale, seed=args.seed, epochs=args.epochs,
+                dim=args.dim,
+            ))
+            services = {"default": build_service(ctx, serve_config,
+                                                 cache_dir=cache_dir)}
+            note = "serve: trained on-the-fly models (bundle 'default')"
+        try:
+            if registry is not None:
+                server = SuggestServer.from_registry(
+                    registry, serve_config, cache_dir=cache_dir,
+                    **net_kwargs)
+            else:
+                server = SuggestServer(services, serve_config=serve_config,
+                                       cache_dir=cache_dir, **net_kwargs)
+        except OSError as exc:
+            print(f"cannot listen on {args.unix or args.listen}: {exc}",
+                  file=sys.stderr)
+            return 2
+        print(note, file=sys.stderr)
 
-    if registry is not None:
-        server = SuggestServer.from_registry(
-            registry, serve_config, cache_dir=cache_dir, **net_kwargs)
-        print(f"serve: loaded bundles {registry.names()} "
-              f"(default: {registry.default})", file=sys.stderr)
-    elif args.accept_bundles:
-        # self-provisioning peer: no training, no bundles — every
-        # advisor arrives as a content-addressed push from a client
-        server = SuggestServer({}, serve_config=serve_config,
-                               cache_dir=cache_dir, **net_kwargs)
-        print("serve: no advisors yet; accepting pushed bundles",
-              file=sys.stderr)
-    else:
-        from repro.eval.config import ExperimentConfig
-        from repro.eval.context import get_context
+        print(f"serve: listening on {server.address} "
+              f"(protocol v{PROTOCOL_VERSION})",
+              file=sys.stderr, flush=True)
+        if args.ready_file:
+            Path(args.ready_file).write_text(server.address)
 
-        ctx = get_context(ExperimentConfig(
-            scale=args.scale, seed=args.seed, epochs=args.epochs,
-            dim=args.dim,
-        ))
-        service = build_service(ctx, serve_config, cache_dir=cache_dir)
-        server = SuggestServer({"default": service},
-                               serve_config=serve_config,
-                               cache_dir=cache_dir, **net_kwargs)
-        print("serve: trained on-the-fly models (bundle 'default')",
-              file=sys.stderr)
+        def _stop(signum, frame):
+            import threading
 
-    print(f"serve: listening on {server.address} "
-          f"(protocol v{PROTOCOL_VERSION})",
-          file=sys.stderr, flush=True)
-    if args.ready_file:
-        from pathlib import Path
+            # shutdown() joins handler threads; never call it from the
+            # signal frame on the serving thread
+            threading.Thread(target=server.shutdown, daemon=True).start()
 
-        Path(args.ready_file).write_text(server.address)
-
-    import signal
-
-    def _stop(signum, frame):
-        import threading
-
-        # shutdown() joins handler threads; never call it from the
-        # signal frame on the serving thread
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    try:
-        signal.signal(signal.SIGTERM, _stop)
-        signal.signal(signal.SIGINT, _stop)
-    except ValueError:
-        pass        # not on the main thread (embedded/test use)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        try:
+            signal.signal(signal.SIGTERM, _stop)
+            signal.signal(signal.SIGINT, _stop)
+        except ValueError:
+            pass        # not on the main thread (embedded/test use)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            server.shutdown()
     finally:
-        server.shutdown()
-        import shutil
-
         for path in ephemeral:
             shutil.rmtree(path, ignore_errors=True)
     print("serve: drained and stopped", file=sys.stderr)

@@ -1,12 +1,13 @@
 """Network ``SuggestionStore``: one warm cache shared fleet-wide.
 
-:class:`NetworkStore` duck-types the on-disk
-:class:`~repro.serve.store.SuggestionStore` — the same
-``get_parse``/``put_parse``, ``get_suggestions``/``put_suggestions``,
-``get_verdict``/``put_verdict`` layers, the same ``gc``/``fsck``/
-``describe`` maintenance surface, the same hit/miss/write-error
-counters — but executes every operation against a ``repro serve``
-daemon's store over the wire (:class:`~repro.serve.protocol.StoreOp`).
+:class:`NetworkStore` subclasses the on-disk
+:class:`~repro.serve.store.SuggestionStore` and overrides only
+transport: ``_load``/``_save`` under the counted ``get``/``put``, and
+the ``gc``/``fsck``/``describe`` maintenance ops.  Its named
+``get_*``/``put_*`` layer methods and its hit/miss/write-error
+counters are the disk store's own; every operation runs against a
+``repro serve`` daemon's store over the wire
+(:class:`~repro.serve.protocol.StoreOp`).
 The daemon runs the real on-disk store, so the atomic-commit contract
 (tmp + rename, torn entries degrade to misses) is *inherited*, not
 re-implemented, and a corpus one peer just computed is warm for every
@@ -23,6 +24,7 @@ the cache was unreachable.
 from __future__ import annotations
 
 from repro.client import Client, ClientError, RetryPolicy, connect
+from repro.serve.store import SuggestionStore
 
 #: codes that mean the daemon will never serve store ops on this
 #: connection — reconnecting cannot help, so the store goes dormant
@@ -30,28 +32,20 @@ _FATAL_CODES = ("fabric-unsupported", "no-store", "protocol-mismatch",
                 "bad-address")
 
 
-class NetworkStore:
+class NetworkStore(SuggestionStore):
     """Store backend speaking the daemon's store operations."""
 
     def __init__(self, address: str, *, timeout: float = 60.0,
                  retry: RetryPolicy | None = None) -> None:
+        # ``base`` is the spec a shard worker re-opens this backend from
+        super().__init__(f"net:{address}")
         self.address = address
-        #: spec string a shard worker re-opens this backend from
-        #: (mirrors the on-disk store's ``base`` root attribute)
-        self.base = f"net:{address}"
         self.timeout = timeout
         self.retry = retry
         self._client: Client | None = None
         #: a non-transient refusal was seen (no store on the daemon,
         #: capability missing): serve misses instead of re-dialing
         self._dead = False
-        self.parse_hits = 0
-        self.parse_misses = 0
-        self.suggest_hits = 0
-        self.suggest_misses = 0
-        self.verdict_hits = 0
-        self.verdict_misses = 0
-        self.write_errors = 0
 
     # -- connection plumbing -------------------------------------------------
 
@@ -89,10 +83,10 @@ class NetworkStore:
                 self._dead = True
             raise
 
-    # -- the cache surface (degrading, like the on-disk store) ---------------
+    # -- transport under the counted get/put (degrading, like disk) ----------
 
-    def _try_get(self, layer: str, key: str,
-                 model_key: str | None = None) -> dict | None:
+    def _load(self, layer: str, key: str,
+              model_key: str | None) -> dict | None:
         if self._dead:
             return None
         try:
@@ -101,50 +95,16 @@ class NetworkStore:
         except (ClientError, OSError):
             return None
 
-    def _try_put(self, layer: str, key: str, entry: dict,
-                 model_key: str | None = None) -> None:
+    def _save(self, layer: str, key: str, model_key: str | None,
+              payload: dict) -> bool:
         if self._dead:
-            self.write_errors += 1
-            return
+            return False
         try:
-            self._op("put", layer=layer, key=key, entry=entry,
+            self._op("put", layer=layer, key=key, entry=payload,
                      model_key=model_key)
         except (ClientError, OSError):
-            self.write_errors += 1
-
-    def get_parse(self, key: str) -> dict | None:
-        payload = self._try_get("parse", key)
-        if payload is None:
-            self.parse_misses += 1
-        else:
-            self.parse_hits += 1
-        return payload
-
-    def put_parse(self, key: str, payload: dict) -> None:
-        self._try_put("parse", key, payload)
-
-    def get_suggestions(self, model_key: str, key: str) -> dict | None:
-        payload = self._try_get("suggest", key, model_key)
-        if payload is None:
-            self.suggest_misses += 1
-        else:
-            self.suggest_hits += 1
-        return payload
-
-    def put_suggestions(self, model_key: str, key: str,
-                        payload: dict) -> None:
-        self._try_put("suggest", key, payload, model_key)
-
-    def get_verdict(self, key: str) -> dict | None:
-        payload = self._try_get("verdict", key)
-        if payload is None:
-            self.verdict_misses += 1
-        else:
-            self.verdict_hits += 1
-        return payload
-
-    def put_verdict(self, key: str, payload: dict) -> None:
-        self._try_put("verdict", key, payload)
+            return False
+        return True
 
     # -- maintenance (raising: operators must see failures) ------------------
 
@@ -165,14 +125,3 @@ class NetworkStore:
 
     def describe(self) -> dict:
         return self._op("describe").report
-
-    def stats(self) -> dict:
-        return {
-            "parse_hits": self.parse_hits,
-            "parse_misses": self.parse_misses,
-            "suggest_hits": self.suggest_hits,
-            "suggest_misses": self.suggest_misses,
-            "verdict_hits": self.verdict_hits,
-            "verdict_misses": self.verdict_misses,
-            "write_errors": self.write_errors,
-        }

@@ -7,7 +7,8 @@ as a relay thread of the coordinator — nothing is forked.  The relay
 dials a ``repro serve`` daemon and forwards its streamed
 :class:`~repro.serve.protocol.FileResult` frames onto the supervisor
 queue verbatim, with the queue contract of a local worker (``file`` /
-``claim`` / ``done`` plus a heartbeat).
+``done`` / ``error`` plus a heartbeat, each file's result on the queue
+before a careful relay asks its peer for the next).
 
 Peer failure becomes worker failure: a peer that drops mid-stream or
 goes silent past the client timeout ends the relay without ``done``,
@@ -96,8 +97,8 @@ class _Relay(threading.Thread):
 
     The supervisor polls, kills and joins it like a worker process:
     ``exitcode`` is None while it runs, 0 after ``done`` and 1 after
-    any other ending.  Careful mode issues one request per file with a
-    claim ahead of each, preserving per-file blame across the wire.
+    any other ending.  Careful mode issues one request per file, in
+    shard order, preserving per-file blame across the wire.
     """
 
     def __init__(self, spec: RelaySpec, shard, queue,
@@ -156,8 +157,6 @@ class _Relay(threading.Thread):
         for batch in batches:
             if self._killed.is_set():
                 return False
-            if self._careful:
-                self._queue.put(("claim", sid, shard.indices[batch[0]]))
             request = self._spec.job.request(
                 sources=tuple(shard.items[i] for i in batch),
                 bundle=bundle, ordered=False, stream=True)

@@ -46,6 +46,7 @@ from repro.rewrite.clauses import PlanError, plan_clauses
 from repro.rewrite.verify import (
     DEFAULT_CONFIG,
     VerifyConfig,
+    _bump,
     revive_verdict,
     verdict_key,
     verify_loop,
@@ -101,12 +102,6 @@ class FileRewrite:
     rewrites: list[LoopRewrite] = field(default_factory=list)
     rewritten_source: str | None = None
     error: str | None = None
-    #: per-file verifier counters (simulations, compiled vs interpreted
-    #: runs, cached verdicts, elapsed seconds) — local observability
-    #: only: excluded from equality and from the wire payload, so the
-    #: byte-identity contracts with PR 7 outputs hold
-    verifier: dict | None = field(default=None, compare=False,
-                                  repr=False)
 
     @property
     def n_accepted(self) -> int:
@@ -160,9 +155,7 @@ def _verdict_for(loop, loop_source: str, plan, config, store,
         key = verdict_key(loop_source, plan, config or DEFAULT_CONFIG)
         verdict = revive_verdict(store.get_verdict(key))
         if verdict is not None:
-            if stats is not None:
-                stats["cached_verdicts"] = \
-                    stats.get("cached_verdicts", 0) + 1
+            _bump(stats, "cached_verdicts")
             return verdict
     verdict = verify_loop(loop, plan, config, stats=stats)
     if key is not None:
@@ -183,9 +176,7 @@ def _attempt(loop, loop_source: str, live_out: frozenset[str],
     if verify:
         verdict = _verdict_for(loop, loop_source, plan, config, store,
                                stats)
-        if stats is not None:
-            stats["elapsed_s"] = (stats.get("elapsed_s", 0.0)
-                                  + time.perf_counter() - t0)
+        _bump(stats, "elapsed_s", time.perf_counter() - t0)
         if not verdict.ok:
             return LoopRewrite(loop_source=loop_source, accepted=False,
                                code=verdict.code, detail=verdict.detail)
@@ -246,14 +237,17 @@ def rewrite_file(name: str, source: str, file_suggestions, *,
     straight from it.  Suggestions replayed from the store or revived
     from the wire carry none: the file is parsed again and each
     suggestion aligned with its outermost loop in extraction order,
-    where a mismatch refuses with ``misaligned`` rather than guessing.  The returned ``rewritten_source`` is the
-    whole file with accepted pragmas attached — refused and sequential
-    loops keep their original text.  A shared parse is left as it came:
-    every pragma attached here is restored before returning.
+    where a mismatch refuses with ``misaligned`` rather than guessing.
+    The returned ``rewritten_source`` is the whole file with accepted
+    pragmas attached — refused and sequential loops keep their original
+    text.  A shared parse is left as it came: every pragma attached
+    here is restored before returning.
 
     ``store`` (optional, duck-typed) serves cached verdicts; ``stats``
-    (optional dict) accumulates the verifier counters also attached to
-    the result as ``FileRewrite.verifier``.
+    (optional dict or ``Counter``, such as a service's
+    ``counts["verify"]``) accumulates the verifier counters in place:
+    ``simulations``, ``compiled_runs``, ``interpreted_runs``,
+    ``cached_verdicts`` and ``elapsed_s``.
     """
     error = getattr(file_suggestions, "error", None)
     suggestions = getattr(file_suggestions, "suggestions",
@@ -288,9 +282,6 @@ def rewrite_file(name: str, source: str, file_suggestions, *,
                           for s in suggestions],
                 rewritten_source=unparse(tu),
             )
-    fstats = {"simulations": 0, "compiled_runs": 0,
-              "interpreted_runs": 0, "cached_verdicts": 0,
-              "elapsed_s": 0.0}
     rewrites: list[LoopRewrite] = []
     saved = [(loop, loop.pragmas) for loop in loops]
     try:
@@ -314,13 +305,10 @@ def rewrite_file(name: str, source: str, file_suggestions, *,
             rewrites.append(_attempt(loop, suggestion.loop_source,
                                      live_out, verify=verify,
                                      config=config, store=store,
-                                     stats=fstats))
+                                     stats=stats))
         rewritten_source = unparse(tu)
     finally:
         for loop, pragmas in saved:
             loop.pragmas = pragmas
-    if stats is not None:
-        for key, value in fstats.items():
-            stats[key] = stats.get(key, 0) + value
     return FileRewrite(name=name, rewrites=rewrites,
-                       rewritten_source=rewritten_source, verifier=fstats)
+                       rewritten_source=rewritten_source)

@@ -165,7 +165,8 @@ def revive_verdict(payload: object) -> Verdict | None:
     return Verdict(ok, code, detail)
 
 
-def _bump(stats: dict | None, key: str, n: int = 1) -> None:
+def _bump(stats: dict | None, key: str, n: float = 1) -> None:
+    """Count ``n`` into ``stats[key]`` (a dict or ``Counter``), if any."""
     if stats is not None:
         stats[key] = stats.get(key, 0) + n
 

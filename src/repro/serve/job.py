@@ -89,7 +89,7 @@ class Job:
 
         return rewrite_file(name, source, suggestions, verify=self.verify,
                             store=service.store,
-                            stats=service._verify_stats)
+                            stats=service.counts["verify"])
 
     def revive(self, name: str, payload: dict):
         """A result back from its ``(name, payload)`` wire form."""

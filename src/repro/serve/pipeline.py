@@ -36,6 +36,7 @@ numbers.
 from __future__ import annotations
 
 import inspect
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -50,6 +51,18 @@ from repro.suggest import PragmaSuggester, Suggestion
 #: loops in the first round of a pass; each later round holds twice as
 #: many, up to ``ServeConfig.batch_size``
 FIRST_ROUND_LOOPS = 16
+
+#: every counter a service keeps, by group, each with its zero: the
+#: model forwards, the daemon's coalesced rounds, and the verifier.
+#: Readers index a group by these names and never iterate its live
+#: ``Counter``, which another thread may be counting into.
+COUNTERS = {
+    "forwards": {"calls": 0, "graphs": 0},
+    "coalesce": {"rounds": 0, "requests": 0, "deduped_files": 0},
+    "verify": {"simulations": 0, "compiled_runs": 0,
+               "interpreted_runs": 0, "cached_verdicts": 0,
+               "elapsed_s": 0.0},
+}
 
 
 @dataclass(frozen=True)
@@ -66,7 +79,7 @@ class ServeConfig:
     #: before the remaining files are emitted as ``worker-retry`` error
     #: records instead of respawning again
     max_retries: int = 3
-    #: seconds of worker silence (no results, beats, or claims) before
+    #: seconds of worker silence (no results or beats) before
     #: the supervisor presumes it hung, kills it, and requeues its work
     heartbeat_s: float = 30.0
     #: base of the exponential respawn backoff (doubles per death)
@@ -150,7 +163,7 @@ def _model_fingerprint(model, require: bool = False) -> str:
 class _CountingModel:
     """``predict_samples`` pass-through that counts model forwards."""
 
-    def __init__(self, model, forwards: dict) -> None:
+    def __init__(self, model, forwards: Counter) -> None:
         self.model = model
         self.forwards = forwards
 
@@ -168,7 +181,7 @@ class _BatchedGraphModel:
     same predicted-parallel subset) reuse one collated batch."""
 
     def __init__(self, model, cache, batch_size: int,
-                 collate_cache: dict, forwards: dict) -> None:
+                 collate_cache: dict, forwards: Counter) -> None:
         self.model = model
         self.cache = cache
         self.batch_size = batch_size
@@ -229,11 +242,9 @@ class SuggestionService:
         self._source_models = (parallel_model, dict(clause_models))
         self._caches: dict[tuple, object] = {}
         self._collate_cache: dict = {}
-        self._forwards = {"calls": 0, "graphs": 0}
-        self._coalesce = {"rounds": 0, "requests": 0, "deduped_files": 0}
-        self._verify_stats = {"simulations": 0, "compiled_runs": 0,
-                              "interpreted_runs": 0,
-                              "cached_verdicts": 0, "elapsed_s": 0.0}
+        #: one ``Counter`` per :data:`COUNTERS` group
+        self.counts = {group: Counter(zeros)
+                       for group, zeros in COUNTERS.items()}
         self.suggester = PragmaSuggester(
             self._wrap(parallel_model),
             {name: self._wrap(m) for name, m in clause_models.items()},
@@ -255,14 +266,14 @@ class SuggestionService:
             hasattr(model, attr)
             for attr in ("predict_encoded", "encode_cache", "encoder_key")
         ):
-            return _CountingModel(model, self._forwards)
+            return _CountingModel(model, self.counts["forwards"])
         key = model.encoder_key()
         cache = self._caches.get(key)
         if cache is None:
             cache = model.encode_cache(max_entries=self.config.cache_entries)
             self._caches[key] = cache
         return _BatchedGraphModel(model, cache, self.config.batch_size,
-                                  self._collate_cache, self._forwards)
+                                  self._collate_cache, self.counts["forwards"])
 
     # -- streaming core ------------------------------------------------------
 
@@ -380,9 +391,9 @@ class SuggestionService:
                     first_seen[source] = di
                     distinct.append((name, source))
                 subscribers.setdefault(di, []).append((tag, i, name))
-        self._coalesce["rounds"] += 1
-        self._coalesce["requests"] += len(workloads)
-        self._coalesce["deduped_files"] += total_files - len(distinct)
+        self.counts["coalesce"]["rounds"] += 1
+        self.counts["coalesce"]["requests"] += len(workloads)
+        self.counts["coalesce"]["deduped_files"] += total_files - len(distinct)
         for di, fs in self.iter_sources(distinct):
             for tag, i, name in subscribers[di]:
                 out = fs if fs.name == name else replace(fs, name=name)
@@ -488,39 +499,26 @@ class SuggestionService:
         """Fold one shard worker's ``cache_stats()`` into this service,
         so forward counts, verifier counters and store hit rates stay
         meaningful when the pipeline ran in child processes."""
-        forwards = stats.get("forwards") or {}
-        self._forwards["calls"] += int(forwards.get("calls", 0))
-        self._forwards["graphs"] += int(forwards.get("graphs", 0))
-        verify_stats = stats.get("verify") or {}
-        for key in self._verify_stats:
-            value = verify_stats.get(key, 0)
-            self._verify_stats[key] += (float(value)
-                                        if key == "elapsed_s"
-                                        else int(value))
-        store_stats = stats.get("store")
-        if self.store is not None and store_stats:
-            for attr in ("parse_hits", "parse_misses",
-                         "suggest_hits", "suggest_misses",
-                         "verdict_hits", "verdict_misses",
-                         "write_errors"):
-                setattr(self.store, attr,
-                        getattr(self.store, attr)
-                        + int(store_stats.get(attr, 0)))
+        for group, counts in self.counts.items():
+            counts.update(stats.get(group, {}))
+        if self.store is not None:
+            self.store.counts.update(stats.get("store", {}))
 
     # -- introspection -------------------------------------------------------
 
     def cache_stats(self) -> dict:
-        """Hit/miss/entry counts per shared encode cache, model-forward
-        totals, and (when configured) persistent-store hit rates."""
+        """Hit/miss/entry counts per shared encode cache, then every
+        :data:`COUNTERS` group by name (zeros included), then (when
+        configured) the persistent store's ``stats()``."""
         stats = {
             f"{key[0]}#{i}": cache.stats()
             for i, (key, cache) in enumerate(sorted(
                 self._caches.items(), key=lambda kv: kv[0][0],
             ))
         }
-        stats["forwards"] = dict(self._forwards)
-        stats["coalesce"] = dict(self._coalesce)
-        stats["verify"] = dict(self._verify_stats)
+        for group, zeros in COUNTERS.items():
+            counts = self.counts[group]
+            stats[group] = {name: counts[name] for name in zeros}
         if self.store is not None:
             stats["store"] = self.store.stats()
         return stats

@@ -954,20 +954,10 @@ class SuggestServer:
     def _store_execute(store, op: protocol.StoreOp) -> protocol.StoreOk:
         """One store op against the daemon's store (compute thread)."""
         if op.op == "get":
-            if op.layer == "parse":
-                entry = store.get_parse(op.key)
-            elif op.layer == "suggest":
-                entry = store.get_suggestions(op.model_key, op.key)
-            else:
-                entry = store.get_verdict(op.key)
-            return protocol.StoreOk(op="get", entry=entry)
+            return protocol.StoreOk(
+                op="get", entry=store.get(op.layer, op.key, op.model_key))
         if op.op == "put":
-            if op.layer == "parse":
-                store.put_parse(op.key, op.entry)
-            elif op.layer == "suggest":
-                store.put_suggestions(op.model_key, op.key, op.entry)
-            else:
-                store.put_verdict(op.key, op.entry)
+            store.put(op.layer, op.key, op.entry, op.model_key)
             return protocol.StoreOk(op="put")
         if op.op == "gc":
             kwargs = {key: op.args[key]
@@ -1222,8 +1212,8 @@ class SuggestServer:
                 named = [(name, source) for _, name, source in files]
                 results = service.stream_tagged(
                     named, shards=pending.request.shards)
-                service._coalesce["rounds"] += 1
-                service._coalesce["requests"] += 1
+                service.counts["coalesce"]["rounds"] += 1
+                service.counts["coalesce"]["requests"] += 1
                 try:
                     for local_i, fs in results:
                         index = indices[local_i]

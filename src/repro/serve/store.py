@@ -23,9 +23,9 @@ process; this store survives it.  Three layers, all content-keyed
 Layout: ``<root>/v<STORE_VERSION>/{parse,suggest/<model_key>,verdict}/
 <sha>.json``.
 Writes go through a temp file + :func:`os.replace`, so concurrent
-writers (the multiprocess parse stage, parallel ``suggest-dir`` runs
-over one cache) can only ever observe complete entries; unreadable or
-torn entries degrade to cache misses, never errors.
+writers (shard workers, parallel ``suggest-dir`` runs over one cache)
+can only ever observe complete entries; unreadable or torn entries
+degrade to cache misses, never errors.
 """
 
 from __future__ import annotations
@@ -35,12 +35,24 @@ import json
 import os
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 from repro.serve import faults
+from repro.serve.protocol import STORE_LAYERS
 
 #: bump when cached payload shapes change incompatibly
 STORE_VERSION = 1
+
+#: the store's counters, in :meth:`SuggestionStore.stats` order
+STORE_COUNTERS = (*(f"{layer}_{outcome}" for layer in STORE_LAYERS
+                    for outcome in ("hits", "misses")), "write_errors")
+
+
+def _check_layer(layer: str) -> None:
+    if layer not in STORE_LAYERS:
+        raise ValueError(f"store layer must be one of {STORE_LAYERS}, "
+                         f"got {layer!r}")
 
 
 def content_key(source: str) -> str:
@@ -69,32 +81,64 @@ def open_store(spec: "str | Path"):
 
 
 class SuggestionStore:
-    """Disk-backed parse + suggestion cache rooted at ``root``."""
+    """Disk-backed parse + suggestion cache rooted at ``root``.
+
+    Every read and write is one counted :meth:`get` / :meth:`put` (the
+    named ``get_*`` / ``put_*`` fill in the layer) around the backend's
+    ``_load`` / ``_save``, the only I/O another backend overrides.
+    """
 
     def __init__(self, root: str | Path) -> None:
         #: the user-facing root; shard workers re-open the store from it
         self.base = Path(root)
         self.root = self.base / f"v{STORE_VERSION}"
-        self.parse_hits = 0
-        self.parse_misses = 0
-        self.suggest_hits = 0
-        self.suggest_misses = 0
-        self.verdict_hits = 0
-        self.verdict_misses = 0
-        self.write_errors = 0
+        #: this process's hits, misses and failed writes
+        self.counts: Counter = Counter()
 
-    # -- paths ---------------------------------------------------------------
+    # -- the counted surface -------------------------------------------------
 
-    def _parse_path(self, key: str) -> Path:
-        return self.root / "parse" / f"{key}.json"
+    def get(self, layer: str, key: str,
+            model_key: str | None = None) -> dict | None:
+        """One entry of ``layer`` (``model_key`` names the suggest
+        layer's models), or ``None`` on a miss."""
+        _check_layer(layer)
+        payload = self._load(layer, key, model_key)
+        self.counts[f"{layer}_{'misses' if payload is None else 'hits'}"] += 1
+        return payload
 
-    def _suggest_path(self, model_key: str, key: str) -> Path:
-        return self.root / "suggest" / model_key / f"{key}.json"
+    def put(self, layer: str, key: str, payload: dict,
+            model_key: str | None = None) -> None:
+        """Store one entry; a failed write only counts in
+        ``write_errors`` (the entry simply stays a miss)."""
+        _check_layer(layer)
+        if not self._save(layer, key, model_key, payload):
+            self.counts["write_errors"] += 1
 
-    def _verdict_path(self, key: str) -> Path:
-        return self.root / "verdict" / f"{key}.json"
+    def get_parse(self, key: str) -> dict | None:
+        return self.get("parse", key)
 
-    # -- raw IO --------------------------------------------------------------
+    def put_parse(self, key: str, payload: dict) -> None:
+        self.put("parse", key, payload)
+
+    def get_suggestions(self, model_key: str, key: str) -> dict | None:
+        return self.get("suggest", key, model_key)
+
+    def put_suggestions(self, model_key: str, key: str,
+                        payload: dict) -> None:
+        self.put("suggest", key, payload, model_key)
+
+    def get_verdict(self, key: str) -> dict | None:
+        return self.get("verdict", key)
+
+    def put_verdict(self, key: str, payload: dict) -> None:
+        self.put("verdict", key, payload)
+
+    # -- disk backend --------------------------------------------------------
+
+    def _path(self, layer: str, key: str, model_key: str | None) -> Path:
+        if layer == "suggest":
+            return self.root / layer / model_key / f"{key}.json"
+        return self.root / layer / f"{key}.json"
 
     @staticmethod
     def _read(path: Path) -> dict | None:
@@ -104,17 +148,22 @@ class SuggestionStore:
             return None
         return payload if isinstance(payload, dict) else None
 
-    def _write(self, path: Path, payload: dict) -> None:
-        """Atomically persist one entry; write failures degrade.
+    def _load(self, layer: str, key: str,
+              model_key: str | None) -> dict | None:
+        return self._read(self._path(layer, key, model_key))
+
+    def _save(self, layer: str, key: str, model_key: str | None,
+              payload: dict) -> bool:
+        """Atomically persist one entry; False if the write failed.
 
         The cache is an accelerator, not the product: a full disk or a
         permission flip must never abort a serving run, so any
-        ``OSError`` on the write path is swallowed and counted in
-        ``write_errors`` (the entry simply stays a miss).  The fault
-        hook injects exactly those failures — an aborted write, or a
-        *torn* entry at the final path, the state a crash between
-        write and rename leaves for ``fsck`` to reclaim.
+        ``OSError`` on the write path is swallowed.  The fault hook
+        injects exactly those failures — an aborted write, or a *torn*
+        entry at the final path, the state a crash between write and
+        rename leaves for ``fsck`` to reclaim.
         """
+        path = self._path(layer, key, model_key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             action = faults.on_store_write(str(path))
@@ -136,47 +185,8 @@ class SuggestionStore:
                     pass
                 raise
         except OSError:
-            self.write_errors += 1
-
-    # -- parse layer ---------------------------------------------------------
-
-    def get_parse(self, key: str) -> dict | None:
-        payload = self._read(self._parse_path(key))
-        if payload is None:
-            self.parse_misses += 1
-        else:
-            self.parse_hits += 1
-        return payload
-
-    def put_parse(self, key: str, payload: dict) -> None:
-        self._write(self._parse_path(key), payload)
-
-    # -- suggestion layer ----------------------------------------------------
-
-    def get_suggestions(self, model_key: str, key: str) -> dict | None:
-        payload = self._read(self._suggest_path(model_key, key))
-        if payload is None:
-            self.suggest_misses += 1
-        else:
-            self.suggest_hits += 1
-        return payload
-
-    def put_suggestions(self, model_key: str, key: str,
-                        payload: dict) -> None:
-        self._write(self._suggest_path(model_key, key), payload)
-
-    # -- verdict layer -------------------------------------------------------
-
-    def get_verdict(self, key: str) -> dict | None:
-        payload = self._read(self._verdict_path(key))
-        if payload is None:
-            self.verdict_misses += 1
-        else:
-            self.verdict_hits += 1
-        return payload
-
-    def put_verdict(self, key: str, payload: dict) -> None:
-        self._write(self._verdict_path(key), payload)
+            return False
+        return True
 
     # -- eviction ------------------------------------------------------------
 
@@ -332,15 +342,9 @@ class SuggestionStore:
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> dict:
-        return {
-            "parse_hits": self.parse_hits,
-            "parse_misses": self.parse_misses,
-            "suggest_hits": self.suggest_hits,
-            "suggest_misses": self.suggest_misses,
-            "verdict_hits": self.verdict_hits,
-            "verdict_misses": self.verdict_misses,
-            "write_errors": self.write_errors,
-        }
+        """This process's counters, every :data:`STORE_COUNTERS` name."""
+        counts = self.counts
+        return {name: counts[name] for name in STORE_COUNTERS}
 
     def describe(self) -> dict:
         """On-disk shape of the cache: entry counts and bytes per layer.

@@ -12,7 +12,7 @@ index-tagged stream into the public ordered / as-completed iterators.
 The parent is a *supervisor*, not just a demultiplexer.  A worker that
 dies hard (segfault, SIGKILL, OOM) or stops heartbeating is detected,
 its unfinished files are requeued onto a respawned worker running in
-careful (one-file-at-a-time, claim-before-compute) mode, with bounded
+careful (one file at a time, in shard order) mode, with bounded
 retries and exponential backoff; completed work is never redone because
 finished files were already streamed (and committed to the shared
 :class:`~repro.serve.store.SuggestionStore`).  Per-file blame tracking
@@ -92,7 +92,6 @@ class _Worker:
         #: original sid of the first worker in this retry chain — the
         #: retry budget is per lineage, not per respawn
         self.lineage = lineage
-        self.claimed: int | None = None
         self.last_seen = time.monotonic()
 
 
@@ -181,17 +180,12 @@ def stream_shards(
             worker.last_seen = time.monotonic()
         if kind == "beat":
             return
-        if kind == "claim":
-            if worker is not None:
-                worker.claimed = rest[0]
-        elif kind == "file":
+        if kind == "file":
             index, name, payload = rest
             # Late messages from an already-buried worker still carry
             # valid work — accept anything not yet delivered.
             if index not in received:
                 received.add(index)
-                if worker is not None and worker.claimed == index:
-                    worker.claimed = None
                 yield index, revive(name, payload)
         elif kind == "done":
             if worker is not None:
@@ -217,17 +211,14 @@ def stream_shards(
         count = deaths[worker.lineage] = deaths.get(worker.lineage,
                                                     0) + 1
         if worker.careful:
-            # Careful mode pins the in-flight file: the claim when it
-            # arrived, else the first unfinished file — careful
-            # workers serve strictly in shard order, and a crash can
-            # lose the buffered claim with the process.  Blaming one
-            # suspect at most under-counts the true killer by a retry
-            # round; it never smears innocents into quarantine.
-            if (worker.claimed is not None
-                    and worker.claimed not in received):
-                suspect = worker.claimed
-            else:
-                suspect = unfinished[0]
+            # Careful mode pins the in-flight file: careful workers
+            # serve one file at a time in shard order and queue each
+            # result before the next file starts, so the first
+            # unfinished file was in flight — or its result died in
+            # the process's queue buffer, which under-counts the true
+            # killer by a retry round but never smears innocents into
+            # quarantine.
+            suspect = unfinished[0]
             blame[suspect] = blame.get(suspect, 0) + 1
         else:
             # Batch mode: any unfinished file could be the killer.

@@ -19,16 +19,16 @@ the persistent store writes — never live model or AST objects:
 - ``("done", sid, stats)`` — shard complete, worker cache counters,
 - ``("error", sid, traceback)`` — a soft failure with its traceback,
 - ``("beat", sid)`` — liveness, sent by a background thread every
-  :data:`_BEAT_S` so the supervisor can tell *slow* from *hung*,
-- ``("claim", sid, index)`` — careful mode only: sent before a file is
-  computed, so a crash can be blamed on exactly one input.
+  :data:`_BEAT_S` so the supervisor can tell *slow* from *hung*.
 
 Careful mode (``worker_main(..., careful=True)``) is how a respawned
 worker re-runs a shard that already killed a sibling: files are served
-one at a time with a claim ahead of each, trading batch throughput for
-per-file blame — the supervisor quarantines an input that keeps
-killing workers instead of retrying it forever.  Remote shards speak
-the same contract from coordinator threads
+one at a time, in shard order, trading batch throughput for per-file
+blame.  Each file's result is queued before the next file starts, so
+when the worker dies the supervisor blames the first file without a
+result, and quarantines an input that keeps killing workers instead
+of retrying it forever.  Remote
+shards speak the same contract from coordinator threads
 (:mod:`repro.fabric.remote`).
 """
 
@@ -115,19 +115,18 @@ class _Heartbeat:
                 return
 
 
-def _iter_results(service, spec: WorkerSpec, shard, queue, careful: bool):
+def _iter_results(service, spec: WorkerSpec, shard, careful: bool):
     """Yield ``(local_index, result)`` for the shard.
 
     Batch mode runs the whole shard through the staged pipeline (best
-    throughput).  Careful mode serves one file per pipeline pass with a
-    ``claim`` message ahead of each, so the supervisor knows exactly
-    which input was in flight if this process dies.
+    throughput).  Careful mode serves one file per pipeline pass, in
+    shard order, so the supervisor knows exactly which input was in
+    flight if this process dies.
     """
     if not careful:
         yield from spec.job.run(service, shard.items)
         return
     for local_index, item in enumerate(shard.items):
-        queue.put(("claim", shard.sid, shard.indices[local_index]))
         for _, result in spec.job.run(service, [item]):
             yield local_index, result
 
@@ -152,7 +151,7 @@ def worker_main(spec: WorkerSpec, shard, queue,
         service = spec.build_service()
         files_done = 0
         for local_index, result in _iter_results(service, spec, shard,
-                                                 queue, careful):
+                                                 careful):
             action = faults.on_worker_file(shard.sid, files_done,
                                            result.name)
             if action == "hang":
@@ -161,8 +160,8 @@ def worker_main(spec: WorkerSpec, shard, queue,
                 heartbeat.stop()
                 time.sleep(faults.HANG_S)
             elif action == "kill":
-                # Flush buffered messages (emitted files, the claim)
-                # to the pipe before dying: the fault contract is
+                # Flush buffered messages (emitted files) to the
+                # pipe before dying: the fault contract is
                 # "killed after N files", so those N must be delivered
                 # — SIGKILL would otherwise take the queue's feeder
                 # thread down with its buffer.

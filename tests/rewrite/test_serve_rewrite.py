@@ -24,8 +24,11 @@ from repro.serve import (
     SuggestionService,
     SuggestionStore,
     SuggestServer,
+    open_store,
     protocol,
 )
+from repro.serve.pipeline import COUNTERS
+from repro.serve.store import STORE_COUNTERS
 
 SUM_SOURCE = """
 double a[64], b[64]; double s;
@@ -66,6 +69,21 @@ class _StubModel:
 def _service(store=None) -> SuggestionService:
     return SuggestionService(_StubModel(1), {"reduction": _StubModel(1)},
                              store=store)
+
+
+def _assert_counter_schema(stats: dict, store: bool) -> None:
+    """``cache_stats()`` is the counter schema: every group and name in
+    schema order (the store's only when one is configured), no stray
+    key, each value of its zero's type, and JSON round-trips it."""
+    assert list(stats) == [*COUNTERS, *(["store"] if store else [])]
+    for group, zeros in COUNTERS.items():
+        assert list(stats[group]) == list(zeros)
+        assert [type(v) for v in stats[group].values()] == \
+            [type(z) for z in zeros.values()]
+    if store:
+        assert list(stats["store"]) == list(STORE_COUNTERS)
+        assert all(type(v) is int for v in stats["store"].values())
+    assert json.loads(json.dumps(stats)) == stats
 
 
 @pytest.fixture(scope="module")
@@ -128,23 +146,28 @@ class TestServiceRewrites:
 
     def test_verifier_counters_surface(self):
         service = _service()
+        fresh = service.cache_stats()
+        _assert_counter_schema(fresh, store=False)
+        assert not any(v for group in COUNTERS
+                       for v in fresh[group].values())
         results = list(service.stream_sources(NAMED, job=REWRITE))
         verify = service.cache_stats()["verify"]
         assert verify["simulations"] > 0
         assert verify["compiled_runs"] > 0
         assert verify["elapsed_s"] > 0
-        # per-file counters ride on the result without touching the
-        # wire payload (byte-identity with the daemon path)
-        assert results[0].verifier["simulations"] > 0
+        # counters never touch the wire payload (byte-identity with
+        # the daemon path)
         assert "verifier" not in results[0].to_payload()
 
-    def test_sharded_run_distributes_verification(self):
-        service = _service()
+    def test_sharded_run_distributes_verification(self, tmp_path):
+        service = _service(SuggestionStore(tmp_path / "cache"))
         sharded = list(service.stream_sources(NAMED, shards=2, job=REWRITE))
         assert sharded == list(_service().stream_sources(NAMED, job=REWRITE))
-        # the workers' verifier counters fold back into the parent
-        verify = service.cache_stats()["verify"]
-        assert verify["simulations"] > 0
+        # the workers' counters fold back into the parent
+        stats = service.cache_stats()
+        _assert_counter_schema(stats, store=True)
+        assert stats["verify"]["simulations"] > 0
+        assert stats["store"]["suggest_misses"] == len(NAMED)
 
     def test_warm_store_executes_zero_simulations(self, tmp_path):
         def _stored_service():
@@ -163,6 +186,23 @@ class TestServiceRewrites:
         verify = warm.cache_stats()["verify"]
         assert verify["simulations"] == 0
         assert verify["cached_verdicts"] > 0
+
+    def test_net_store_run_keeps_the_counter_schema(self, tmp_path):
+        with SuggestServer({}, cache_dir=str(tmp_path / "cache"),
+                           bundle_cache_dir=tmp_path / "bundles"
+                           ).start() as srv:
+            spec = f"net:{srv.address}"
+            cold = _service(open_store(spec))
+            cold_results = list(cold.stream_sources(NAMED, job=REWRITE))
+            warm = _service(open_store(spec))
+            assert list(warm.stream_sources(NAMED, job=REWRITE)) == \
+                cold_results
+            for service in (cold, warm):
+                _assert_counter_schema(service.cache_stats(), store=True)
+                service.store.close()
+        stats = warm.cache_stats()
+        assert stats["store"]["suggest_hits"] == len(NAMED)
+        assert stats["verify"]["simulations"] == 0
 
 
 #: the first loop verifies; the prefix scan is refused only when
@@ -218,7 +258,7 @@ class TestParseOnce:
         list(_service(SuggestionStore(tmp_path)).stream_sources(named))
         warm = _service(SuggestionStore(tmp_path))
         results = list(warm.stream_sources(named, job=REWRITE))
-        assert warm.store.suggest_hits == len(named)
+        assert warm.store.stats()["suggest_hits"] == len(named)
         assert warm.cache_stats()["verify"]["cached_verdicts"] == 0
         assert len(parses) == len(named)
         assert _payloads(results) == cold

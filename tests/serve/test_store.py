@@ -333,7 +333,7 @@ class TestFsck:
         # ...and fsck removes it so it stops costing a recompute
         report = store.fsck()
         assert report["corrupt"] == 1
-        assert not store._parse_path("victim").exists()
+        assert store.describe()["parse"]["entries"] == 0
 
     def test_injected_abort_write_degrades_to_counter(self, tmp_path):
         from repro.serve import Fault, FaultPlan, faults

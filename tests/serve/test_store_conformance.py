@@ -118,6 +118,16 @@ class TestMechanics:
         entry.write_text(entry.read_text()[:7])
         assert backend.open().get_parse("k") is None
 
+    def test_unknown_layer_is_refused_before_io(self, backend):
+        store = backend.open()
+        with pytest.raises(ValueError, match="store layer"):
+            store.get("bogus", "k")
+        with pytest.raises(ValueError, match="store layer"):
+            store.put("bogus", "k", PARSE_ENTRY)
+        # nothing was looked up, written or counted
+        assert not store.counts
+        assert _files(backend.root) == []
+
     def test_layers_do_not_alias(self, backend):
         store = backend.open()
         store.put_parse("k", PARSE_ENTRY)

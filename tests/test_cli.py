@@ -506,6 +506,37 @@ class TestServerCLI:
         assert serve_main(["--listen", "nonsense"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["port-in-use", "queue-depth-0"])
+    def test_serve_that_cannot_start_cleans_up(self, case, tmp_path,
+                                               monkeypatch, capsys):
+        """A daemon that cannot start exits 2 without a traceback and
+        leaves no temp dir behind."""
+        import socket
+        import tempfile
+
+        from repro.cli import serve_main
+
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen(1)
+            if case == "port-in-use":
+                port = held.getsockname()[1]
+                argv = ["--listen", f"127.0.0.1:{port}",
+                        "--accept-bundles"]
+                want = f"cannot listen on 127.0.0.1:{port}: "
+            else:
+                argv = ["--listen", "127.0.0.1:0", "--accept-bundles",
+                        "--queue-depth", "0"]
+                want = "bad --queue-depth: must be at least 1, got 0"
+            assert serve_main(argv) == 2
+        err = capsys.readouterr().err
+        assert want in err
+        assert "Traceback" not in err
+        assert list(tmp.iterdir()) == []
+
 
 class TestRewriteDirCLI:
     """`repro rewrite-dir`: suggestions applied as verified rewrites,
@@ -571,10 +602,15 @@ class TestRewriteDirCLI:
         src_dir = self._corpus(tmp_path)
         out = tmp_path / "rewrites.json"
         assert main(["rewrite-dir", str(src_dir), *self.FLAGS,
-                     "--no-verify", "--quiet", "--out", str(out)]) == 0
+                     "--no-verify", "--quiet", "--out", str(out),
+                     "--stream"]) == 0
         payload = json.loads(out.read_text())
         codes = {r["code"] for p in payload for r in p["rewrites"]}
         assert "verified" not in codes and "divergence" not in codes
+        # the verifier never ran, and its zeros keep their types
+        done = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert done["verifier"]["simulations"] == 0
+        assert repr(done["verifier"]["elapsed_s"]) == "0.0"
 
     def test_stream_emits_ndjson_with_counts(self, tmp_path, capsys):
         import json
@@ -659,6 +695,23 @@ class TestDirCommandsCLI:
         err = capsys.readouterr().err
         assert err.splitlines() == [
             "bad --batch-size: batch size must be at least 1, got 0"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--server", "DEAD", "--deadline", "0"],
+        ["--server", "DEAD", "--deadline", "-1"],
+        ["--peers", ",", "--bundle", "advisor"],
+        ["--peers", "", "--bundle", "advisor"],
+    ], ids=["deadline-0", "deadline-negative", "peers-comma",
+            "peers-empty"])
+    def test_bad_deadline_or_peers_fails_cleanly(self, command, flags,
+                                                 tmp_path, capsys):
+        """Refused up front: before connecting, training or reading
+        the corpus (an unreadable file would otherwise be reported)."""
+        (tmp_path / "latin1.c").write_bytes(b"/* caf\xe9 */\n")
+        flags = [_dead_address() if f == "DEAD" else f for f in flags]
+        assert main([command, str(tmp_path), *self.FLAGS, *flags]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(("bad --deadline: ", "--peers names no"))
 
     def test_unreachable_server_fails_cleanly(self, command, tmp_path,
                                               capsys):
