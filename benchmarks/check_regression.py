@@ -45,6 +45,7 @@ HEADLINES: dict[str, tuple[str, ...]] = {
     "BENCH_rounds.json": ("stream_ratio",),
     "BENCH_serve.json": ("speedup", "end_to_end_speedup"),
     "BENCH_shard_scaling.json": ("speedup",),
+    "BENCH_startup.json": ("startup_ratio",),
     "BENCH_train.json": ("speedup",),
     "BENCH_verify.json": ("compiled_speedup",),
     "BENCH_warm_cache.json": ("speedup",),

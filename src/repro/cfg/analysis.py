@@ -9,8 +9,6 @@ the liveness helpers answer the question the pragma suggester needs:
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.cfg.graph import CFG
 from repro.cfront.nodes import (
     CompoundStmt,
@@ -28,6 +26,8 @@ def immediate_dominators(cfg: CFG) -> dict[int, int]:
     The entry always maps to itself (newer networkx versions omit the
     trivial self-entry).
     """
+    import networkx as nx
+
     g = cfg.to_networkx()
     idom = dict(nx.immediate_dominators(g, cfg.entry))
     idom.setdefault(cfg.entry, cfg.entry)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.cfront.nodes import Node
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class EdgeLabel(enum.Enum):
@@ -86,6 +88,8 @@ class CFG:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export for dominator/reachability analyses and tests."""
+        import networkx as nx
+
         g = nx.DiGraph()
         for node in self.nodes:
             g.add_node(node.nid, role=node.role, kind=node.kind)
@@ -94,6 +98,8 @@ class CFG:
         return g
 
     def reachable_from_entry(self) -> set[int]:
+        import networkx as nx
+
         g = self.to_networkx()
         return {self.entry} | set(nx.descendants(g, self.entry))
 

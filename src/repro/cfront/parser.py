@@ -134,13 +134,15 @@ class Parser:
     def _expect_punct(self, text: str) -> Token:
         tok = self._peek()
         if not tok.is_punct(text):
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+            raise ParseError(f"expected {text!r}, found {tok.text!r}",
+                             tok.line, tok.col)
         return self._next()
 
     def _expect_ident(self) -> Token:
         tok = self._peek()
         if tok.kind is not TokenKind.IDENT:
-            raise ParseError(f"expected identifier, found {tok.text!r}", tok.line, tok.col)
+            raise ParseError(f"expected identifier, found {tok.text!r}",
+                             tok.line, tok.col)
         return self._next()
 
     def _accept_punct(self, text: str) -> bool:

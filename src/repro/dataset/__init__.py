@@ -12,28 +12,38 @@ rule the paper applies (section 4.2) — never from generator bookkeeping,
 so the extraction pipeline is exercised end to end.
 """
 
-from repro.dataset.sample import LoopSample, load_jsonl, save_jsonl
-from repro.dataset.recipes import LoopRecipe, RecipeGenerator, CATEGORY_PROFILES
-from repro.dataset.extract import extract_loops_from_source
-from repro.dataset.synth import SyntheticGenerator
-from repro.dataset.corpus import CorpusGenerator
-from repro.dataset.omp_serial import (
-    DatasetConfig,
-    OMPSerial,
-    generate_omp_serial,
-)
+from __future__ import annotations
 
-__all__ = [
-    "LoopSample",
-    "save_jsonl",
-    "load_jsonl",
-    "LoopRecipe",
-    "RecipeGenerator",
-    "CATEGORY_PROFILES",
-    "extract_loops_from_source",
-    "SyntheticGenerator",
-    "CorpusGenerator",
-    "OMPSerial",
-    "DatasetConfig",
-    "generate_omp_serial",
-]
+import importlib
+from typing import Any
+
+#: name -> (module, attribute) for lazy re-exports: serving needs only
+#: :mod:`~repro.dataset.extract` and :mod:`~repro.dataset.sample`, not
+#: the generators (and their Jinja2)
+_EXPORTS = {
+    "CorpusGenerator": ("repro.dataset.corpus", "CorpusGenerator"),
+    "DatasetConfig": ("repro.dataset.omp_serial", "DatasetConfig"),
+    "OMPSerial": ("repro.dataset.omp_serial", "OMPSerial"),
+    "SyntheticGenerator": ("repro.dataset.synth", "SyntheticGenerator"),
+    "extract_loops_from_source": ("repro.dataset.extract",
+                                  "extract_loops_from_source"),
+    "generate_omp_serial": ("repro.dataset.omp_serial",
+                            "generate_omp_serial"),
+    "load_jsonl": ("repro.dataset.sample", "load_jsonl"),
+    "save_jsonl": ("repro.dataset.sample", "save_jsonl"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module_name, attr = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module 'repro.dataset' has no attribute {name!r}") from None
+    return getattr(importlib.import_module(module_name), attr)
+
+
+def __dir__() -> list[str]:
+    return __all__

@@ -246,7 +246,7 @@ class CorpusGenerator:
             return self.recipes.generate_ambiguous(with_pragma=True)
         return self.recipes.generate(category)
 
-    # -- population generation ----------------------------------------------------------
+    # -- population generation -----------------------------------------------------
 
     def generate(self, scale: float = 1.0,
                  counts: dict[str | None, int] | None = None

@@ -340,7 +340,7 @@ class RecipeGenerator:
         return LoopRecipe(body=body, pragma=directive, category="simd",
                           parallel=True, has_call=with_call, nested=nested)
 
-    # -- target recipes -----------------------------------------------------------------
+    # -- target recipes -------------------------------------------------------
 
     def _target(self, names: _Names, with_call: bool, nested: bool) -> LoopRecipe:
         i = names.index()
@@ -362,14 +362,15 @@ class RecipeGenerator:
         else:
             body = f"for ({i} = 0; {i} < {bound}; {i}++)\n    {stmt}"
         pragma = str(self.rng.choice([
-            f"#pragma omp target teams distribute parallel for map(to: {b}) map(from: {a})",
+            f"#pragma omp target teams distribute parallel for "
+            f"map(to: {b}) map(from: {a})",
             "#pragma omp target parallel for",
             "#pragma omp target teams distribute parallel for",
         ]))
         return LoopRecipe(body=body, pragma=pragma, category="target",
                           parallel=True, has_call=with_call, nested=nested)
 
-    # -- plain parallel-for recipes ----------------------------------------------------------
+    # -- plain parallel-for recipes -------------------------------------------
 
     def _plain_parallel(self, names: _Names, with_call: bool,
                         nested: bool) -> LoopRecipe:
@@ -426,7 +427,7 @@ class RecipeGenerator:
         return LoopRecipe(body=body, pragma=pragma, category="parallel",
                           parallel=True, has_call=with_call, nested=nested)
 
-    # -- ambiguous (tool-resistant) parallel recipes ------------------------------------------
+    # -- ambiguous (tool-resistant) parallel recipes --------------------------
 
     def generate_ambiguous(self, with_pragma: bool) -> LoopRecipe:
         """A genuinely parallel loop every algorithm-based tool misses.
@@ -503,7 +504,7 @@ class RecipeGenerator:
             parallel=with_pragma, has_call=has_call, nested=nested,
         )
 
-    # -- non-parallel recipes -----------------------------------------------------------------
+    # -- non-parallel recipes -------------------------------------------------
 
     def _non_parallel(self, names: _Names, with_call: bool,
                       nested: bool) -> LoopRecipe:

@@ -95,7 +95,7 @@ for ({{i}} = 0; {{i}} < {{n}}; {{i}}++) {
     {{g.dst}}[{{i}}] = {{g.src1}}[{{i}}] > {{g.src2}}[{{i}}] ? {{g.src1}}[{{i}}] : {{g.src2}}[{{i}}];
 {% endfor %}
 }
-""",
+""",  # noqa: E501
     # polynomial per element
     """
 for ({{i}} = 0; {{i}} < {{n}}; {{i}}++) {

@@ -3,49 +3,39 @@
 Every experiment is a function ``run(config) -> ExperimentResult`` whose
 rows mirror the paper's table; ``paper_reference`` embeds the published
 numbers so benches and EXPERIMENTS.md can print paper-vs-measured side
-by side.  :class:`ExperimentContext` caches the generated dataset, tool
-verdicts and trained models per configuration so the full suite reuses
-work.
+by side.  :class:`~repro.eval.context.ExperimentContext` caches the
+generated dataset, tool verdicts and trained models per configuration
+so the full suite reuses work.
 """
 
-from repro.eval.config import ExperimentConfig
-from repro.eval.context import ExperimentContext, get_context
-from repro.eval.result import ExperimentResult, render_table
-from repro.eval import (
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    figure2,
-    coverage,
-    overhead,
-    casestudy,
-    ablation,
-    generation,
-    generalization,
-    breakdown,
-)
-from repro.eval.runner import run_all
+from __future__ import annotations
 
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentContext",
-    "get_context",
-    "ExperimentResult",
-    "render_table",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "figure2",
-    "coverage",
-    "overhead",
-    "casestudy",
-    "ablation",
-    "generation",
-    "generalization",
-    "breakdown",
-    "run_all",
-]
+import importlib
+from typing import Any
+
+#: name -> (module, attribute) for lazy re-exports: loading a trained
+#: model reaches :mod:`~repro.eval.context` without importing every
+#: table, figure and the runner.  The experiment modules themselves
+#: import as ``from repro.eval import table1``.
+_EXPORTS = {
+    "ExperimentConfig": ("repro.eval.config", "ExperimentConfig"),
+    "ExperimentResult": ("repro.eval.result", "ExperimentResult"),
+    "get_context": ("repro.eval.context", "get_context"),
+    "render_table": ("repro.eval.result", "render_table"),
+    "run_all": ("repro.eval.runner", "run_all"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module_name, attr = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module 'repro.eval' has no attribute {name!r}") from None
+    return getattr(importlib.import_module(module_name), attr)
+
+
+def __dir__() -> list[str]:
+    return __all__

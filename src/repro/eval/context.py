@@ -9,10 +9,10 @@ within a process (pytest-benchmark runs every bench in one process).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.dataset import DatasetConfig, OMPSerial, generate_omp_serial
 from repro.dataset.sample import LoopSample
 from repro.eval.config import ExperimentConfig
 from repro.models import (
@@ -23,7 +23,6 @@ from repro.models import (
     PragFormer,
     PragFormerConfig,
 )
-from repro.tools import ToolResult, make_tool
 from repro.train import (
     GraphTrainer,
     TokenTrainer,
@@ -31,6 +30,10 @@ from repro.train import (
     prepare_graph_data,
     prepare_token_data,
 )
+
+if TYPE_CHECKING:
+    from repro.dataset.omp_serial import OMPSerial
+    from repro.tools import ToolResult
 
 #: label functions per task name (clause tasks are Table 5)
 LABEL_FNS = {
@@ -178,6 +181,13 @@ class ExperimentContext:
     @property
     def dataset(self) -> OMPSerial:
         if self._dataset is None:
+            # the generators (and Jinja2) load only when a dataset is
+            # generated, never to serve a trained model
+            from repro.dataset.omp_serial import (
+                DatasetConfig,
+                generate_omp_serial,
+            )
+
             self._dataset = generate_omp_serial(DatasetConfig(
                 scale=self.config.scale,
                 seed=self.config.seed,
@@ -205,6 +215,8 @@ class ExperimentContext:
         tool).
         """
         if tool_name not in self._tool_verdicts:
+            from repro.tools import make_tool
+
             tool = make_tool(tool_name)
             self._tool_verdicts[tool_name] = [
                 tool.analyze_loop(

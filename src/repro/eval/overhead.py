@@ -43,7 +43,8 @@ def run(config: ExperimentConfig | None = None,
     n = len(samples)
     rows = [
         {"stage": "parse", "avg_ms": round(1000 * t_parse / n, 3)},
-        {"stage": "aug-AST build (CFG + lexical)", "avg_ms": round(1000 * t_build / n, 3)},
+        {"stage": "aug-AST build (CFG + lexical)",
+         "avg_ms": round(1000 * t_build / n, 3)},
         {"stage": "encode", "avg_ms": round(1000 * t_encode / n, 3)},
         {"stage": "total per loop",
          "avg_ms": round(1000 * (t_parse + t_build + t_encode) / n, 3)},

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class EdgeType(str, enum.Enum):
@@ -131,6 +133,8 @@ class HetGraph:
             )
 
     def to_networkx(self) -> nx.MultiDiGraph:
+        import networkx as nx
+
         g = nx.MultiDiGraph()
         for i in range(self.num_nodes):
             g.add_node(

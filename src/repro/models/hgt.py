@@ -529,7 +529,8 @@ class Graph2Par(Module):
     the aug-AST.
     """
 
-    def __init__(self, vocab: GraphVocab, config: Graph2ParConfig | None = None) -> None:
+    def __init__(self, vocab: GraphVocab,
+                 config: Graph2ParConfig | None = None) -> None:
         super().__init__()
         self.config = config or Graph2ParConfig()
         cfg = self.config

@@ -173,7 +173,8 @@ class Linear(Module):
         super().__init__()
         rng = rng or _default_rng
         self.weight = Parameter(_xavier(in_features, out_features, rng))
-        self.bias = Parameter(np.zeros(out_features, dtype=np.float32)) if bias else None
+        self.bias = (Parameter(np.zeros(out_features, dtype=np.float32))
+                     if bias else None)
 
     def forward(self, x: Tensor) -> Tensor:
         out = x @ self.weight

@@ -70,7 +70,8 @@ class Adam(Optimizer):
     bit-identical.
     """
 
-    def __init__(self, params, lr: float = 1e-3, betas: tuple[float, float] = (0.9, 0.999),
+    def __init__(self, params, lr: float = 1e-3,
+                 betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0) -> None:
         super().__init__(params, lr)
         self.beta1, self.beta2 = betas

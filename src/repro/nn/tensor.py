@@ -505,7 +505,8 @@ class Tensor:
                 grad = np.expand_dims(grad, axis)
                 expanded = np.expand_dims(data, axis)
             mask = (self.data == expanded).astype(self.data.dtype)
-            mask /= mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
+            mask /= (mask.sum(axis=axis, keepdims=True)
+                     if axis is not None else mask.sum())
             self._accumulate(grad * mask)
 
         return self._make(data, (self,), backward)

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import re
 
-from repro.pragma.model import CATEGORIES, OmpClause, OmpPragma, PragmaError, REDUCTION_OPS
+from repro.pragma.model import (
+    CATEGORIES,
+    OmpClause,
+    OmpPragma,
+    PragmaError,
+    REDUCTION_OPS,
+)
 
 #: Directive words that may open an ``omp`` pragma, in composition order.
 _DIRECTIVE_WORDS = frozenset(

@@ -30,61 +30,49 @@ per-file blame and quarantine), :mod:`repro.client` carries a
 torn store writes and refused bundle loads so all of it is testable.
 """
 
-from repro.serve.faults import Fault, FaultError, FaultPlan
-from repro.serve.job import REWRITE, SUGGEST, Job
-from repro.serve.parse import ParsedFile, parse_one
-from repro.serve.pipeline import (
-    FileSuggestions,
-    ServeConfig,
-    SuggestionService,
-    build_service,
-)
-from repro.serve.plan import (
-    Shard,
-    auto_shards,
-    plan_peer_shards,
-    plan_shards,
-    resolve_shards,
-)
-from repro.serve.protocol import MAX_FRAME_BYTES, PROTOCOL_VERSION, ProtocolError
-from repro.serve.server import SuggestServer
-from repro.serve.store import (
-    STORE_VERSION,
-    SuggestionStore,
-    content_key,
-    open_store,
-)
-from repro.serve.stream import ServeError, merge_results, stream_shards
-from repro.serve.worker import WorkerSpec
+from __future__ import annotations
 
-__all__ = [
-    "Fault",
-    "FaultError",
-    "FaultPlan",
-    "FileSuggestions",
-    "Job",
-    "MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
-    "ParsedFile",
-    "ProtocolError",
-    "REWRITE",
-    "STORE_VERSION",
-    "SUGGEST",
-    "ServeConfig",
-    "ServeError",
-    "Shard",
-    "SuggestServer",
-    "SuggestionService",
-    "SuggestionStore",
-    "WorkerSpec",
-    "auto_shards",
-    "build_service",
-    "content_key",
-    "merge_results",
-    "open_store",
-    "parse_one",
-    "plan_peer_shards",
-    "plan_shards",
-    "resolve_shards",
-    "stream_shards",
-]
+import importlib
+from typing import Any
+
+#: name -> (module, attribute) for lazy re-exports: importing the
+#: package loads no stage, so :mod:`repro.client` stays free of the
+#: model stack and in-process serving free of the daemon's asyncio
+_EXPORTS = {
+    "Fault": ("repro.serve.faults", "Fault"),
+    "FaultPlan": ("repro.serve.faults", "FaultPlan"),
+    "FileSuggestions": ("repro.serve.pipeline", "FileSuggestions"),
+    "Job": ("repro.serve.job", "Job"),
+    "PROTOCOL_VERSION": ("repro.serve.protocol", "PROTOCOL_VERSION"),
+    "REWRITE": ("repro.serve.job", "REWRITE"),
+    "SUGGEST": ("repro.serve.job", "SUGGEST"),
+    "ServeConfig": ("repro.serve.pipeline", "ServeConfig"),
+    "ServeError": ("repro.serve.stream", "ServeError"),
+    "SuggestServer": ("repro.serve.server", "SuggestServer"),
+    "SuggestionService": ("repro.serve.pipeline", "SuggestionService"),
+    "SuggestionStore": ("repro.serve.store", "SuggestionStore"),
+    "WorkerSpec": ("repro.serve.pipeline", "WorkerSpec"),
+    "auto_shards": ("repro.serve.plan", "auto_shards"),
+    "build_service": ("repro.serve.pipeline", "build_service"),
+    "content_key": ("repro.serve.store", "content_key"),
+    "merge_results": ("repro.serve.stream", "merge_results"),
+    "open_store": ("repro.serve.store", "open_store"),
+    "parse_one": ("repro.serve.parse", "parse_one"),
+    "plan_shards": ("repro.serve.plan", "plan_shards"),
+    "resolve_shards": ("repro.serve.plan", "resolve_shards"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module_name, attr = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module 'repro.serve' has no attribute {name!r}") from None
+    return getattr(importlib.import_module(module_name), attr)
+
+
+def __dir__() -> list[str]:
+    return __all__

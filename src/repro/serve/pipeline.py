@@ -36,6 +36,7 @@ numbers.
 from __future__ import annotations
 
 import inspect
+import multiprocessing
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -44,7 +45,10 @@ from pathlib import Path
 
 from repro.serve.job import SUGGEST, Job
 from repro.serve.parse import ParsedFile, parse_one
+from repro.serve.plan import resolve_shards
 from repro.serve.store import SuggestionStore, content_key, open_store
+from repro.serve.stream import merge_results, stream_shards
+from repro.serve.worker import worker_main
 from repro.suggest import PragmaSuggester, Suggestion
 
 
@@ -227,8 +231,8 @@ class SuggestionService:
     parse results survive model swaps.
 
     Shard workers serve these same model objects (see
-    :class:`~repro.serve.worker.WorkerSpec`), so sharded output never
-    depends on what is on disk after the models were loaded.
+    :class:`WorkerSpec`), so sharded output never depends on what is on
+    disk after the models were loaded.
     """
 
     def __init__(self, parallel_model, clause_models: dict,
@@ -374,9 +378,10 @@ class SuggestionService:
         different clients' requests are parsed, encoded and forwarded
         exactly once — one warm block-diagonal forward per round
         answers every client — and the per-(tag, index) fan-out
-        re-labels the shared result with each request's own file name.  Per-file results are
-        byte-identical to serving each workload alone: batching only
-        changes how much work is shared, never a file's own numbers.
+        re-labels the shared result with each request's own file name.
+        Per-file results are byte-identical to serving each workload
+        alone: batching only changes how much work is shared, never a
+        file's own numbers.
         """
         distinct: list[tuple[str, str]] = []
         first_seen: dict[str, int] = {}
@@ -425,9 +430,6 @@ class SuggestionService:
         forwards these tags to its clients verbatim.  ``job`` and
         ``shards`` follow the same rules as :meth:`stream_sources`.
         """
-        from repro.serve.plan import resolve_shards
-        from repro.serve.stream import stream_shards
-
         named = list(named_sources)
         n_shards = resolve_shards(
             self.config.shards if shards is None else shards, named)
@@ -462,8 +464,6 @@ class SuggestionService:
         verdicts skip simulation.  Results are byte-identical across
         shard counts and orderings.
         """
-        from repro.serve.stream import merge_results
-
         return merge_results(self.stream_tagged(named_sources, job=job,
                                                 shards=shards),
                              ordered=ordered)
@@ -483,8 +483,6 @@ class SuggestionService:
 
     def _worker_spec(self, job: Job = SUGGEST):
         """Picklable recipe for rebuilding this service in a worker."""
-        from repro.serve.worker import WorkerSpec
-
         store_root = None if self.store is None else str(self.store.base)
         return WorkerSpec(
             # shard workers are daemonic: they cannot re-shard
@@ -522,6 +520,41 @@ class SuggestionService:
         if self.store is not None:
             stats["store"] = self.store.stats()
         return stats
+
+
+@dataclass(frozen=True)
+class WorkerSpec:
+    """Everything a worker needs to rebuild the serving service.
+
+    ``models`` is the parent service's ``(parallel_model,
+    clause_models)`` pair, clause families in the parent's order, so
+    workers share its model key and its suggestion layout.
+
+    ``job`` (:class:`~repro.serve.job.Job`) selects what the worker
+    streams back: suggestions, or rewrites applied and verified inside
+    the worker — this is what distributes verification across shards.
+    """
+
+    config: ServeConfig
+    models: tuple
+    store_root: str | None = None
+    job: Job = SUGGEST
+
+    def build_service(self) -> SuggestionService:
+        parallel, clause_models = self.models
+        store = (open_store(self.store_root)
+                 if self.store_root is not None else None)
+        return SuggestionService(parallel, dict(clause_models),
+                                 self.config, store=store)
+
+    def start(self, shard, queue, careful: bool):
+        """Fork a worker serving ``shard``; the process is the handle
+        the supervisor polls, kills and joins."""
+        proc = multiprocessing.get_context().Process(
+            target=worker_main, args=(self, shard, queue, careful),
+            daemon=True)
+        proc.start()
+        return proc
 
 
 #: clause families a context-backed service trains by default

@@ -69,7 +69,7 @@ def open_store(spec: "str | Path"):
     same get/put/gc/fsck contract, shared fleet-wide.  Anything else
     is a local on-disk root.  Every ``--cache-dir`` surface (services,
     shard workers, ``repro cache``) resolves through here, so a worker
-    respawned from a :class:`~repro.serve.worker.WorkerSpec` re-opens
+    respawned from a :class:`~repro.serve.pipeline.WorkerSpec` re-opens
     whichever backend its parent used.
     """
     text = str(spec)

@@ -32,13 +32,18 @@ parse stage's fallback; remote shards never need a process.
 
 from __future__ import annotations
 
-import multiprocessing
+# the result queue's module (and the multiprocessing.util and
+# subprocess it imports) loads with this one, not inside a sharded pass
+import multiprocessing.queues
 import time
 from collections.abc import Iterator
 from queue import Empty
+from typing import TYPE_CHECKING
 
-from repro.serve.pipeline import FileSuggestions
 from repro.serve.plan import Shard, plan_shards
+
+if TYPE_CHECKING:
+    from repro.serve.pipeline import FileSuggestions
 
 #: seconds between liveness checks while the result queue is idle
 _POLL_S = 0.25
@@ -114,7 +119,7 @@ def stream_shards(
     """Run ``named_sources`` through ``n_shards`` supervised workers.
 
     ``spec.start(shard, queue, careful)`` starts each worker.  A
-    :class:`~repro.serve.worker.WorkerSpec` worker rebuilds the full
+    :class:`~repro.serve.pipeline.WorkerSpec` worker rebuilds the full
     service, runs the spec's job — parse → encode → forward → fan-out,
     plus verified rewriting for a rewrite job — locally for its shard,
     commits to the shared persistent store, and streams per-file

@@ -1,10 +1,11 @@
 """Shard worker: one process, one slice of the corpus, full pipeline.
 
-:meth:`WorkerSpec.start` forks :func:`worker_main`, which rebuilds the
-complete suggestion service from the spec's in-memory models —
-inherited for free under ``fork``, pickled under ``spawn`` — so every
-worker serves exactly the weights the parent serves, however they were
-loaded, and never touches the bundle on disk.  It pins the OpenBLAS
+:meth:`~repro.serve.pipeline.WorkerSpec.start` forks
+:func:`worker_main`, which rebuilds the complete suggestion service
+from the spec's in-memory models — inherited for free under ``fork``,
+pickled under ``spawn`` — so every worker serves exactly the weights
+the parent serves, however they were loaded, and never touches the
+bundle on disk.  It pins the OpenBLAS
 numpy loaded to one thread first: N workers already fill N cores.  It
 then runs parse → encode → block-diagonal forward → fan-out *locally*
 for its shard, consults and commits the shared persistent
@@ -34,55 +35,20 @@ shards speak the same contract from coordinator threads
 
 from __future__ import annotations
 
-import multiprocessing
+import gc
 import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.serve import _blas, faults
-from repro.serve.job import SUGGEST, Job
-from repro.serve.pipeline import ServeConfig, SuggestionService
-from repro.serve.store import open_store
+
+if TYPE_CHECKING:
+    from repro.serve.pipeline import WorkerSpec
 
 #: seconds between liveness beats (clamped below heartbeat_s / 4)
 _BEAT_S = 0.5
-
-
-@dataclass(frozen=True)
-class WorkerSpec:
-    """Everything a worker needs to rebuild the serving service.
-
-    ``models`` is the parent service's ``(parallel_model,
-    clause_models)`` pair, clause families in the parent's order, so
-    workers share its model key and its suggestion layout.
-
-    ``job`` (:class:`~repro.serve.job.Job`) selects what the worker
-    streams back: suggestions, or rewrites applied and verified inside
-    the worker — this is what distributes verification across shards.
-    """
-
-    config: ServeConfig
-    models: tuple
-    store_root: str | None = None
-    job: Job = SUGGEST
-
-    def build_service(self) -> SuggestionService:
-        parallel, clause_models = self.models
-        store = (open_store(self.store_root)
-                 if self.store_root is not None else None)
-        return SuggestionService(parallel, dict(clause_models),
-                                 self.config, store=store)
-
-    def start(self, shard, queue, careful: bool):
-        """Fork a worker serving ``shard``; the process is the handle
-        the supervisor polls, kills and joins."""
-        proc = multiprocessing.get_context().Process(
-            target=worker_main, args=(self, shard, queue, careful),
-            daemon=True)
-        proc.start()
-        return proc
 
 
 class _Heartbeat:
@@ -142,6 +108,10 @@ def worker_main(spec: WorkerSpec, shard, queue,
     all of this; the supervisor catches them via exit codes and the
     heartbeat going silent.
     """
+    # The heap inherited under fork (modules, models) lives as long as
+    # the worker: freeze it, so the collector never walks it and a
+    # full collection sees only the shard's own objects
+    gc.freeze()
     # N shard workers already fill N cores; per-worker BLAS pools
     # would only oversubscribe them
     _blas.pin_one_thread()

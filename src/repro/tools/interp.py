@@ -416,7 +416,7 @@ class Interpreter:
         except (TypeError, ValueError, OverflowError):
             return 0.0
 
-    # -- statements ---------------------------------------------------------------------
+    # -- statements ---------------------------------------------------------------
 
     def exec_stmt(self, stmt: Stmt) -> None:
         self._tick()
@@ -520,7 +520,7 @@ class Interpreter:
         finally:
             end_loop()
 
-    # -- public API -----------------------------------------------------------------------
+    # -- public API ---------------------------------------------------------------
 
     def run_loop(self, loop: Stmt) -> Trace:
         """Synthesize inputs, execute ``loop``, and return its trace.

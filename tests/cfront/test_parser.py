@@ -390,7 +390,8 @@ class TestNodeTraversal:
     def test_children_in_source_order(self):
         loop = parse_loop("for (i = 0; i < 3; i++) x++;")
         child_kinds = [c.kind for c in loop.children()]
-        assert child_kinds == ["ExprStmt", "BinaryOperator", "UnaryOperator", "ExprStmt"]
+        assert child_kinds == ["ExprStmt", "BinaryOperator", "UnaryOperator",
+                               "ExprStmt"]
 
     def test_find_all(self):
         loop = parse_loop("for (i = 0; i < 3; i++) a[i] = f(i);")

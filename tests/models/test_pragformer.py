@@ -48,7 +48,8 @@ class TestTokenizeLoop:
         assert len(tokenize_loop(long_src, max_len=64)) <= 64
 
     def test_pragma_lines_excluded(self):
-        toks = tokenize_loop("#pragma omp parallel for\nfor (i = 0; i < n; i++) s += i;")
+        toks = tokenize_loop(
+            "#pragma omp parallel for\nfor (i = 0; i < n; i++) s += i;")
         assert "pragma" not in " ".join(toks)
 
 

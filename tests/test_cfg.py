@@ -38,7 +38,8 @@ class TestStraightLine:
 
     def test_all_nodes_reachable(self):
         cfg = cfg_of("x = 1; if (x) y = 2; else y = 3; z = 4;")
-        assert cfg.reachable_from_entry() >= {n.nid for n in cfg.nodes if n.role != "exit"}
+        assert cfg.reachable_from_entry() >= {
+            n.nid for n in cfg.nodes if n.role != "exit"}
 
 
 class TestIf:
