@@ -40,7 +40,7 @@ HEADLINES: dict[str, tuple[str, ...]] = {
     "BENCH_concurrency.json": ("throughput_speedup", "solo_window_speedup"),
     "BENCH_fabric.json": ("peer_speedup", "warm_net_speedup"),
     "BENCH_faults.json": ("recovery_efficiency",),
-    "BENCH_listen.json": ("speedup",),
+    "BENCH_listen.json": ("speedup", "resubmit_speedup"),
     "BENCH_rewrite.json": ("verify_efficiency",),
     "BENCH_rounds.json": ("stream_ratio",),
     "BENCH_serve.json": ("speedup", "end_to_end_speedup"),

@@ -49,20 +49,23 @@ SOLO_REQUESTS = 30
 
 #: the interactive request shape: one small file per client — the
 #: traffic where per-pass fixed cost dominates and a compute lock
-#: hurts the most
+#: hurts the most; ``{n}`` is the loop's trip count
 TINY_SOURCE = """\
-double x[64], y[64];
-void axpy(double a) {
+double x[{n}], y[{n}];
+void axpy(double a) {{
     int i;
-    for (i = 0; i < 64; i++) y[i] += a * x[i];
-}
+    for (i = 0; i < {n}; i++) y[i] += a * x[i];
+}}
 """
 
 
 def _workload(client_id: int, salt: str) -> list:
-    """One distinct single-file request (salt defeats the store)."""
+    """One distinct single-file request: the salt defeats the store, and
+    a trip count of the client's own defeats the service's answer memo,
+    so every request needs its own forward."""
     return [(f"client{client_id}.c",
-             TINY_SOURCE + f"/* {salt} client {client_id} */\n")]
+             TINY_SOURCE.format(n=64 + client_id)
+             + f"/* {salt} client {client_id} */\n")]
 
 
 def _serialized_total(context, serve_config, cache_dir, salt) -> tuple:

@@ -44,16 +44,20 @@ def _corpus() -> list[tuple[str, str]]:
 def _measure(context) -> dict:
     named = _corpus()
     service = build_service(context, ServeConfig(batch_size=512))
-    list(service.stream_sources(named))          # warm the suggestion store
+    list(service.stream_sources(named))          # warm the encode caches
 
     # best-of-2 per side: single samples are too noisy for a ratio
     unverified_s = verified_s = float("inf")
     for _ in range(2):
+        # forget the answers, not the encodings: both sides pay their
+        # forwards, so the floor is not a bare parse
+        service._answers.clear()
         start = time.perf_counter()
         list(service.stream_sources(named, job=Job("rewrite", verify=False)))
         unverified_s = min(unverified_s, time.perf_counter() - start)
     results = None
     for _ in range(2):
+        service._answers.clear()
         start = time.perf_counter()
         results = list(service.stream_sources(named, job=REWRITE))
         verified_s = min(verified_s, time.perf_counter() - start)

@@ -6,7 +6,6 @@ batching, the HGT layer, and the segment primitives.
 """
 
 import numpy as np
-import pytest
 
 from repro.cfront import parse_loop, parse_source
 from repro.graphs import build_aug_ast, build_graph_vocab, collate, encode_graph

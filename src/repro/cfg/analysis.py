@@ -16,7 +16,6 @@ from repro.cfront.nodes import (
     BinaryOperator,
     Node,
     Stmt,
-    UnaryOperator,
 )
 
 

@@ -23,11 +23,9 @@ from repro.cfront.nodes import (
     CaseStmt,
     CompoundStmt,
     ContinueStmt,
-    DeclStmt,
     DefaultStmt,
     DoStmt,
     Expr,
-    ExprStmt,
     ForStmt,
     GotoStmt,
     IfStmt,

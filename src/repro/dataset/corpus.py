@@ -26,7 +26,7 @@ non-parallel   13 972
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

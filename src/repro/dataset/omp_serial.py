@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.dataset.corpus import CorpusGenerator, GITHUB_CATEGORY_COUNTS
+from repro.dataset.corpus import CorpusGenerator
 from repro.dataset.sample import LoopSample, load_jsonl, save_jsonl
 from repro.dataset.synth import SyntheticGenerator
 

@@ -15,7 +15,7 @@ Tests cross-check a sample of recipes against the dependence analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -5,13 +5,17 @@ loops and C clause families, each preceded by its own parse + graph
 build + encode.  :class:`SuggestionService` restructures that into
 
 1. a parse stage over whole files, one file at a time,
-2. one encode per distinct loop source per vocabulary — models that
+2. one answer per distinct loop per service: a loop whose
+   ``(source, live_out)`` the service already answered skips encode,
+   forward and compose (the answer memo, bounded by
+   ``ServeConfig.cache_entries``),
+3. one encode per distinct loop source per vocabulary — models that
    agree on (representation, vocab content) share an
    :class:`~repro.graphs.encode.EncodeCache`,
-3. one block-diagonal ``collate`` + forward per model per *round* of
+4. one block-diagonal ``collate`` + forward per model per *round* of
    files, rounds doubling from :data:`FIRST_ROUND_LOOPS` loops up to
    ``batch_size``, so the first files stream out after one small round,
-4. a fan-out back to per-file :class:`FileSuggestions`.
+5. a fan-out back to per-file :class:`FileSuggestions`.
 
 Corpora additionally shard end-to-end: ``stream_sources`` with
 ``shards > 1`` partitions the workload by file size
@@ -37,10 +41,9 @@ from __future__ import annotations
 
 import inspect
 import multiprocessing
-from collections import Counter
+from collections import Counter, OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from pathlib import Path
 
 from repro.serve.job import SUGGEST, Job
@@ -49,7 +52,7 @@ from repro.serve.plan import resolve_shards
 from repro.serve.store import SuggestionStore, content_key, open_store
 from repro.serve.stream import merge_results, stream_shards
 from repro.serve.worker import worker_main
-from repro.suggest import PragmaSuggester, Suggestion
+from repro.suggest import LoopRequest, PragmaSuggester, Suggestion
 
 
 #: loops in the first round of a pass; each later round holds twice as
@@ -57,11 +60,14 @@ from repro.suggest import PragmaSuggester, Suggestion
 FIRST_ROUND_LOOPS = 16
 
 #: every counter a service keeps, by group, each with its zero: the
-#: model forwards, the daemon's coalesced rounds, and the verifier.
-#: Readers index a group by these names and never iterate its live
-#: ``Counter``, which another thread may be counting into.
+#: model forwards, the answer memo (``misses`` are the distinct loops
+#: the models ran on, ``hits`` every other loop served), the daemon's
+#: coalesced rounds, and the verifier.  Readers index a group by these
+#: names and never iterate its live ``Counter``, which another thread
+#: may be counting into.
 COUNTERS = {
     "forwards": {"calls": 0, "graphs": 0},
+    "answers": {"hits": 0, "misses": 0},
     "coalesce": {"rounds": 0, "requests": 0, "deduped_files": 0},
     "verify": {"simulations": 0, "compiled_runs": 0,
                "interpreted_runs": 0, "cached_verdicts": 0,
@@ -75,7 +81,9 @@ class ServeConfig:
 
     workers: int = 1          # must be 1: rounds parse in process
     batch_size: int = 256     # graphs per collate; loops per full round
-    cache_entries: int = 4096  # per-vocab encode-cache capacity
+    #: capacity of every per-loop memo: the answer memo and each
+    #: per-vocab encode cache
+    cache_entries: int = 4096
     #: end-to-end corpus shards; 1 = in-process, "auto" (or 0) picks a
     #: count from corpus stats and CPU count (1 CPU stays in-process)
     shards: int | str = 1
@@ -95,6 +103,9 @@ class ServeConfig:
                              "spread a corpus over cores with --shards")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
+        if self.cache_entries < 1:
+            raise ValueError(f"cache_entries must be at least 1, "
+                             f"got {self.cache_entries}")
 
 
 @dataclass
@@ -132,6 +143,12 @@ class FileSuggestions:
                          for d in payload["suggestions"]],
             error=payload["error"],
         )
+
+
+def _key(request: LoopRequest) -> tuple:
+    """A request's answer-memo key: what its suggestion depends on
+    (never its advisory ``ast``, which the memo must not keep alive)."""
+    return request.source, request.live_out
 
 
 def _revive(cls, name: str, payload: dict):
@@ -228,7 +245,11 @@ class SuggestionService:
     ``store`` plugs in a persistent :class:`SuggestionStore`: files
     whose (content hash, model fingerprint) already have stored
     suggestions skip parsing *and* inference entirely, and cached
-    parse results survive model swaps.
+    parse results survive model swaps.  One level below the store, an
+    in-memory answer memo forwards each distinct loop once per service:
+    a file the store misses — say, one whose only edit is a comment —
+    pays a parse, but no forward for the loops the service has already
+    answered.
 
     Shard workers serve these same model objects (see
     :class:`WorkerSpec`), so sharded output never depends on what is on
@@ -246,6 +267,8 @@ class SuggestionService:
         self._source_models = (parallel_model, dict(clause_models))
         self._caches: dict[tuple, object] = {}
         self._collate_cache: dict = {}
+        #: LRU answer memo: ``(source, live_out)`` → ``Suggestion.to_dict()``
+        self._answers: OrderedDict[tuple, dict] = OrderedDict()
         #: one ``Counter`` per :data:`COUNTERS` group
         self.counts = {group: Counter(zeros)
                        for group, zeros in COUNTERS.items()}
@@ -274,6 +297,9 @@ class SuggestionService:
         key = model.encoder_key()
         cache = self._caches.get(key)
         if cache is None:
+            # kept across rounds: a loop the answer memo misses but whose
+            # source this service has seen (a changed live-out set, an
+            # evicted answer) skips its graph build and encode
             cache = model.encode_cache(max_entries=self.config.cache_entries)
             self._caches[key] = cache
         return _BatchedGraphModel(model, cache, self.config.batch_size,
@@ -289,9 +315,10 @@ class SuggestionService:
         Completion order inside one workload: store-cached files first
         (they skip the whole pipeline and cost one disk read each),
         then the rest in input order, round by round (:meth:`_rounds`):
-        one batched forward per model per round, whose files are yielded
-        before the next round is parsed, so the first costs one small
-        round and no pass holds every file's parse at once.
+        one batched forward per model per round over the loops this
+        service has not answered before (:meth:`_answer`), whose files
+        are yielded before the next round is parsed, so the first costs
+        one small round and no pass holds every file's parse at once.
         Rounds never change a file's own numbers.  This is the
         in-process streaming core that both the collecting wrappers and
         the shard workers drive.
@@ -313,21 +340,54 @@ class SuggestionService:
                 pending.append(i)
 
         for batch in self._rounds(named, keys, pending):
-            flat = [req for _, pf in batch for req in pf.requests]
-            # Collate sharing is per round: ``id()`` keys must not
-            # outlive the graphs they describe.
-            self._collate_cache.clear()
-            suggestions = iter(self.suggester.suggest_batch(flat))
-            self._collate_cache.clear()
+            answers = self._answer(
+                [req for _, pf in batch for req in pf.requests])
             for i, pf in batch:
                 fs = FileSuggestions(
                     name=pf.name, error=pf.error, parsed=pf,
-                    suggestions=list(islice(suggestions,
-                                            len(pf.requests))))
+                    suggestions=[Suggestion.from_dict(answers[_key(req)])
+                                 for req in pf.requests])
                 if store is not None:
                     store.put_suggestions(self._model_key, keys[i],
                                           fs.to_payload())
                 yield i, fs
+
+    def _answer(self, requests: list[LoopRequest]) -> dict[tuple, dict]:
+        """Every request's answer payload, by :func:`_key`.
+
+        A service's models are fixed, so a loop's answer depends only on
+        its source and live-out set: loops the memo holds cost nothing,
+        and the round's distinct others go to one ``suggest_batch``
+        call.  The answers come from the round's own lookups, so a
+        bound smaller than one round never drops one; only then are the
+        new answers inserted and the oldest evicted.
+        """
+        memo = self._answers
+        answers: dict[tuple, dict] = {}
+        misses: dict[tuple, LoopRequest] = {}
+        for req in requests:
+            key = _key(req)
+            if key in answers or key in misses:
+                continue
+            payload = memo.get(key)
+            if payload is None:
+                misses[key] = req
+            else:
+                memo.move_to_end(key)
+                answers[key] = payload
+        if misses:
+            # Collate sharing is per round: ``id()`` keys must not
+            # outlive the graphs they describe.
+            self._collate_cache.clear()
+            computed = self.suggester.suggest_batch(list(misses.values()))
+            self._collate_cache.clear()
+            for key, suggestion in zip(misses, computed):
+                answers[key] = memo[key] = suggestion.to_dict()
+            while len(memo) > self.config.cache_entries:
+                memo.popitem(last=False)
+        self.counts["answers"]["hits"] += len(requests) - len(misses)
+        self.counts["answers"]["misses"] += len(misses)
+        return answers
 
     def _rounds(
         self, named: list[tuple[str, str]], keys: list[str],

@@ -10,7 +10,6 @@ about them exactly like their real counterparts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.cfront.nodes import (
     ArraySubscriptExpr,

@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from repro.cfront.nodes import (
     BinaryOperator,
@@ -33,7 +32,7 @@ from repro.cfront.nodes import (
     UnaryOperator,
 )
 from repro.tools.access import Access, AccessSummary, collect_accesses
-from repro.tools.affine import Affine, affine_pair_dependent, to_affine
+from repro.tools.affine import affine_pair_dependent, to_affine
 from repro.tools.canonical import CanonicalLoop, recognize_canonical
 
 #: Reduction operators our recognisers accept (associative + commutative,

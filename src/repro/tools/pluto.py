@@ -23,12 +23,9 @@ from __future__ import annotations
 from repro.cfront.nodes import (
     BinaryOperator,
     CallExpr,
-    CompoundStmt,
     ConditionalOperator,
     DeclRefExpr,
-    DeclStmt,
     DoStmt,
-    ExprStmt,
     ForStmt,
     GotoStmt,
     IfStmt,

@@ -1,11 +1,8 @@
 """Unit tests for AST node helpers and TypeSpec."""
 
-import pytest
-
 from repro.cfront import parse_statements, parse_loop
 from repro.cfront.nodes import (
     ArraySubscriptExpr,
-    BinaryOperator,
     CallExpr,
     CharLiteral,
     DeclRefExpr,
@@ -14,7 +11,6 @@ from repro.cfront.nodes import (
     IntegerLiteral,
     LOOP_KINDS,
     TypeSpec,
-    UnaryOperator,
     loops_of,
 )
 

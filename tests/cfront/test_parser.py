@@ -8,7 +8,6 @@ from repro.cfront import (
     BreakStmt,
     CallExpr,
     CastExpr,
-    CompoundStmt,
     ConditionalOperator,
     ContinueStmt,
     DeclRefExpr,
@@ -17,16 +16,12 @@ from repro.cfront import (
     ExprStmt,
     FloatingLiteral,
     ForStmt,
-    FunctionDecl,
     GotoStmt,
     IfStmt,
-    IntegerLiteral,
     LabelStmt,
     MemberExpr,
     ParseError,
-    ReturnStmt,
     SizeofExpr,
-    StructDecl,
     SwitchStmt,
     TypedefDecl,
     UnaryOperator,

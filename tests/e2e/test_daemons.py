@@ -3,6 +3,7 @@
 import json
 import signal
 import threading
+from pathlib import Path
 
 from repro.artifacts import SuggesterBundle
 from repro.cli import _read_corpus, _SuggestDir
@@ -39,6 +40,34 @@ def test_concurrent_clients_share_one_set_of_forwards(bundle, corpus, golden,
         [True] * 8, replies
     assert max(graphs for _, graphs in replies.values()) == \
         service.cache_stats()["forwards"]["graphs"]
+
+
+def test_salted_copies_through_a_warm_daemon_cost_no_forward(
+        bundle, corpus, repro, serve, tmp_path):
+    # a comment is the only edit: every file misses the daemon's store,
+    # and every loop hits the answer memo its first pass filled
+    named = _read_corpus(corpus, "*.c")
+    (daemon,) = serve(["--bundle", bundle, "--cache-dir", tmp_path / "cache"])
+    with connect(daemon.address) as client:
+        client.suggest_sources(named)
+        warm = client.last_done.stats
+    salted = tmp_path / "salted"
+    salted.mkdir()
+    for name, source in named:
+        (salted / Path(name).name).write_text(f"/* salted */\n{source}")
+    repro("suggest-dir", salted, "--bundle", bundle, "--quiet",
+          "--out", tmp_path / "golden.json")
+    repro("suggest-dir", salted, "--server", daemon.address, "--quiet",
+          "--out", tmp_path / "served.json")
+    assert (tmp_path / "served.json").read_bytes() == \
+        (tmp_path / "golden.json").read_bytes()
+    with connect(daemon.address) as client:
+        client.suggest_sources(named[:1])     # a store hit reads the totals
+        done = client.last_done.stats
+    assert done["forwards"]["graphs"] == warm["forwards"]["graphs"]
+    assert done["answers"]["misses"] == warm["answers"]["misses"]
+    assert done["store"]["suggest_misses"] == \
+        warm["store"]["suggest_misses"] + len(named)
 
 
 def test_sigterm_drains_a_streaming_reply(bundle, corpus, serve):

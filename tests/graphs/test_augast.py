@@ -1,7 +1,5 @@
 """Tests for the augmented heterogeneous AST builder."""
 
-import pytest
-
 from repro.cfront import parse_loop
 from repro.graphs import EdgeType, build_aug_ast, build_vanilla_ast
 

@@ -6,7 +6,6 @@ import pytest
 from repro.cfront import parse_loop
 from repro.graphs import (
     CollateCache,
-    EdgeType,
     EncodeCache,
     GraphVocab,
     RELATIONS,

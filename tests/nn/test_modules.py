@@ -11,7 +11,6 @@ from repro.nn import (
     LayerNorm,
     Linear,
     MLP,
-    Module,
     Parameter,
     SGD,
     Sequential,

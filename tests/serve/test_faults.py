@@ -10,7 +10,6 @@ aborted runs, and clients complete their batches exactly once.
 """
 
 import os
-import signal
 import subprocess
 import sys
 import textwrap
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.client import ClientError, RetryPolicy, connect
+from repro.client import RetryPolicy, connect
 from repro.serve import (
     REWRITE,
     Fault,

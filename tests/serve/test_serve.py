@@ -134,6 +134,13 @@ class TestServeConfig:
         with pytest.raises(ValueError, match="batch size"):
             ServeConfig(batch_size=batch_size)
 
+    @pytest.mark.parametrize("cache_entries", [0, -1])
+    def test_cache_entries_below_one_is_refused(self, cache_entries):
+        # -1 used to build a service whose first pass popped an empty
+        # encode cache (KeyError); the bound now covers the answer memo
+        with pytest.raises(ValueError, match="cache_entries"):
+            ServeConfig(cache_entries=cache_entries)
+
 
 class TestRounds:
     """A pass runs in rounds of files, the first holding

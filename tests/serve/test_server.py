@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.client import Client, ClientError, RetryPolicy, connect
+from repro.client import ClientError, RetryPolicy, connect
 from repro.serve import (
     SuggestionService,
     SuggestionStore,

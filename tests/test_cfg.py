@@ -1,11 +1,10 @@
 """Tests for CFG construction."""
 
 import networkx as nx
-import pytest
 
 from repro.cfg import EdgeLabel, build_cfg
 from repro.cfront import parse_statements, parse_loop
-from repro.cfront.nodes import CallExpr, ForStmt, WhileStmt
+from repro.cfront.nodes import CallExpr
 
 
 def cfg_of(source):

@@ -1,7 +1,6 @@
 """Tests for CFG analyses and the lastprivate liveness path."""
 
 import numpy as np
-import pytest
 
 from repro.cfg import (
     build_cfg,

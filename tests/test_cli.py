@@ -1,7 +1,5 @@
 """Tests for the CLI entry points."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.cli import dataset_main, eval_main, main, train_main

@@ -20,7 +20,6 @@ from repro.eval import (
     table3,
     table4,
 )
-from repro.eval.context import ExperimentContext
 
 TINY = ExperimentConfig(scale=0.006, seed=11, epochs=1, dim=16, heads=2,
                         layers=1, batch_size=16)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.pragma import (
-    OmpPragma,
     PragmaError,
     loop_label,
     parse_omp_pragma,

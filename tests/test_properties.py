@@ -7,7 +7,6 @@ and metric identities.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cfront import parse_loop, parse_statements, unparse
@@ -16,7 +15,7 @@ from repro.cfront.parser import Parser
 from repro.dataset.oracle import oracle_parallel
 from repro.dataset.recipes import RecipeGenerator
 from repro.graphs import EdgeType, build_aug_ast, build_vanilla_ast
-from repro.nn.tensor import Tensor, segment_mean, segment_sum
+from repro.nn.tensor import Tensor, segment_sum
 from repro.tools import make_tool
 from repro.tools.affine import to_affine
 from repro.train.metrics import confusion_counts

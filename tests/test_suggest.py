@@ -1,9 +1,8 @@
 """Tests for pragma suggestion/generation (the paper's future-work item)."""
 
 import numpy as np
-import pytest
 
-from repro.suggest import PragmaSuggester, Suggestion, agreement
+from repro.suggest import PragmaSuggester, agreement
 
 
 class _StubModel:

@@ -1,7 +1,5 @@
 """Tests for affine analysis and dependence tests."""
 
-import pytest
-
 from repro.cfront.parser import Parser
 from repro.cfront.lexer import Lexer
 from repro.tools.affine import (

@@ -1,7 +1,5 @@
 """Tests for the static dependence analysis."""
 
-import pytest
-
 from repro.cfront import parse_loop
 from repro.tools.access import collect_accesses
 from repro.tools import deps as deps_module
