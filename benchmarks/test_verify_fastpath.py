@@ -22,12 +22,11 @@ import time
 
 from conftest import run_once, write_bench_artifact
 
-from repro.cfg.analysis import scalars_read_after
 from repro.cfront import parse_source
 from repro.dataset.corpus import CorpusGenerator
-from repro.dataset.extract import _outermost_loops
 from repro.rewrite import PlanError, VerifyConfig, plan_clauses, verify_loop
 from repro.serve import REWRITE, ServeConfig, build_service
+from repro.suggest import file_requests
 
 #: compiled execution must beat the tree-walker by at least this factor
 MIN_SPEEDUP = 3.0
@@ -44,16 +43,12 @@ def _plannable_loops(named) -> list:
     actually reach the verifier."""
     cases = []
     for _, source in named:
-        tu = parse_source(source)
-        for fn in tu.functions():
-            if fn.body is None:
+        for request in file_requests(parse_source(source)):
+            try:
+                plan = plan_clauses(request.ast, request.live_out)
+            except PlanError:
                 continue
-            for loop in _outermost_loops(fn.body):
-                live_out = frozenset(scalars_read_after(fn.body, loop))
-                try:
-                    cases.append((loop, plan_clauses(loop, live_out)))
-                except PlanError:
-                    continue
+            cases.append((request.ast, plan))
     return cases
 
 

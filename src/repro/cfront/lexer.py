@@ -59,6 +59,30 @@ _MASTER_RE = re.compile(
     re.DOTALL,
 )
 
+
+def int_value(text: str) -> int:
+    """The value of a C integer constant: decimal, octal (a leading
+    ``0``) or hex, with any ``u``/``l`` suffix.  Raises ``ValueError``
+    on a malformed one (``09``, ``0x``)."""
+    digits = text.rstrip("uUlL")
+    if digits[:2] in ("0x", "0X"):
+        return int(digits[2:], 16)
+    return int(digits, 8 if digits[:1] == "0" else 10)
+
+
+def _int_token(text: str, line: int, col: int) -> Token:
+    """An integer-constant token; a malformed constant is a
+    :class:`LexError` naming it.  Only a leading ``0`` (octal or hex)
+    can be malformed."""
+    if text[0] == "0":
+        try:
+            int_value(text)
+        except ValueError:
+            raise LexError(f"malformed integer constant {text!r}",
+                           line, col) from None
+    return Token(TokenKind.INT_CONST, text, line, col)
+
+
 #: number-text → float? (mirrors the suffix/shape rules of _lex_number)
 def _num_is_float(text: str) -> bool:
     if text[:2] in ("0x", "0X"):
@@ -154,11 +178,10 @@ class Lexer:
             elif kind == "punct":
                 tokens.append(Token(TokenKind.PUNCT, text, line, col))
             elif kind == "num":
-                tokens.append(Token(
-                    TokenKind.FLOAT_CONST if _num_is_float(text)
-                    else TokenKind.INT_CONST,
-                    text, line, col,
-                ))
+                tokens.append(
+                    Token(TokenKind.FLOAT_CONST, text, line, col)
+                    if _num_is_float(text) else _int_token(text, line, col)
+                )
             elif kind == "string":
                 tokens.append(Token(TokenKind.STRING, text, line, col))
             elif kind == "char":

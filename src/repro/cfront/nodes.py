@@ -23,6 +23,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterator
 
+from repro.cfront.lexer import int_value
+
 
 @dataclass(slots=True)
 class Node:
@@ -126,7 +128,7 @@ class IntegerLiteral(Expr):
 
     @property
     def value(self) -> int:
-        return int(self.text.rstrip("uUlL"), 0)
+        return int_value(self.text)
 
 
 @dataclass(slots=True)

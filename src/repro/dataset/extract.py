@@ -5,13 +5,21 @@ Mirrors the paper's data-processing step (section 4.2): parse the file
 loop, labelled by the OpenMP pragma attached to it.  Nested loops yield a
 sample for the outermost statement only — the paper's loop count treats a
 nest as one (outer) loop with ``Nested Loops`` set.
+
+:func:`function_loops` is the one walk that decides which loops a file
+has, their order and their pragma-free text.  Training samples
+(:func:`extract_loops_from_source`), served requests
+(:func:`repro.suggest.file_requests`) and verified rewrites
+(:func:`repro.rewrite.rewrite_file`) all take their loops from it, so
+the three agree on every file's loops.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from repro.cfront import parse_source, unparse
-from repro.cfront.nodes import LOOP_KINDS, Stmt
-from repro.cfront.unparse import loc_of
+from repro.cfront.nodes import LOOP_KINDS, FunctionDecl, Stmt
 from repro.dataset.sample import LoopSample
 from repro.pragma import loop_label
 from repro.tools.access import collect_accesses
@@ -32,70 +40,54 @@ def _outermost_loops(root) -> list[Stmt]:
     return out
 
 
-def _function_loop_samples(
-    fn,
-    origin: str = "github",
-    file_id: int = -1,
-    file_meta: dict | None = None,
-) -> list[LoopSample]:
-    """One labelled sample per outermost loop of one function body."""
-    pointer_params = sorted(
-        p.name for p in fn.params if p.var_type.pointers > 0
-    )
-    samples: list[LoopSample] = []
-    for loop in _outermost_loops(fn.body):
-        parallel, category = loop_label(loop.pragmas)
-        pragma = loop.pragmas[0] if loop.pragmas else None
-        # Re-emit the loop without its pragma: models must not see it.
-        saved = loop.pragmas
-        loop.pragmas = []
-        loop_src = unparse(loop)
-        loc = loc_of(loop)
-        loop.pragmas = saved
-        summary = collect_accesses(getattr(loop, "body", loop))
-        # One walk collects every name; checking each pointer param with
-        # its own walk made extraction quadratic in parameter count.
-        names_in_loop = {
-            name for n in loop.walk()
-            if (name := getattr(n, "name", None)) is not None
-        }
-        samples.append(LoopSample(
-            source=loop_src,
-            parallel=parallel,
-            category=category,
-            pragma=pragma,
-            origin=origin,
-            has_call=summary.has_calls,
-            nested=summary.has_inner_loop,
-            loc=loc,
-            file_id=file_id,
-            file_meta=dict(file_meta or {}),
-            pointer_arrays=[
-                name for name in pointer_params if name in names_in_loop
-            ],
-        ))
-    return samples
+def function_loops(tu) -> Iterator[tuple[FunctionDecl, Stmt, str]]:
+    """``(function, loop, source)`` for every outermost loop of every
+    function body of a parsed translation unit, in source order.
 
-
-def extract_loops_by_function(
-    tu,
-    origin: str = "github",
-    file_id: int = -1,
-    file_meta: dict | None = None,
-):
-    """Per-function loop extraction from a parsed translation unit:
-    ``[(function, samples), ...]``.  The unit is left as it was.
-
-    Grouping by function keeps file-level analyses (liveness for
-    ``lastprivate``) aligned with their loops even when one function
-    misbehaves — consumers can fall back per function instead of
-    dropping context for the whole file.
+    ``source`` is the loop unparsed without its own pragmas — the text
+    models see, suggestions describe and rewrites align on.  The unit
+    is left as it was.
     """
-    return [
-        (fn, _function_loop_samples(fn, origin, file_id, file_meta))
-        for fn in tu.functions()
-        if fn.body is not None
-    ]
+    for fn in tu.functions():
+        if fn.body is None:
+            continue
+        for loop in _outermost_loops(fn.body):
+            saved = loop.pragmas
+            loop.pragmas = []
+            try:
+                source = unparse(loop)
+            finally:
+                loop.pragmas = saved
+            yield fn, loop, source
+
+
+def _loop_sample(fn, loop: Stmt, source: str, origin: str, file_id: int,
+                 file_meta: dict | None) -> LoopSample:
+    """One outermost loop as a sample labelled by its pragma."""
+    parallel, category = loop_label(loop.pragmas)
+    summary = collect_accesses(getattr(loop, "body", loop))
+    # One walk collects every name; checking each pointer param with
+    # its own walk made extraction quadratic in parameter count.
+    names_in_loop = {
+        name for n in loop.walk()
+        if (name := getattr(n, "name", None)) is not None
+    }
+    return LoopSample(
+        source=source,
+        parallel=parallel,
+        category=category,
+        pragma=loop.pragmas[0] if loop.pragmas else None,
+        origin=origin,
+        has_call=summary.has_calls,
+        nested=summary.has_inner_loop,
+        loc=sum(1 for line in source.splitlines() if line.strip()),
+        file_id=file_id,
+        file_meta=dict(file_meta or {}),
+        pointer_arrays=sorted(
+            p.name for p in fn.params
+            if p.var_type.pointers > 0 and p.name in names_in_loop
+        ),
+    )
 
 
 def extract_loops_from_source(
@@ -111,10 +103,6 @@ def extract_loops_from_source(
     10 269 files Clang rejected.
     """
     return [
-        sample
-        for _, samples in extract_loops_by_function(
-            parse_source(source), origin=origin, file_id=file_id,
-            file_meta=file_meta,
-        )
-        for sample in samples
+        _loop_sample(fn, loop, loop_source, origin, file_id, file_meta)
+        for fn, loop, loop_source in function_loops(parse_source(source))
     ]

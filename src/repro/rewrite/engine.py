@@ -1,11 +1,12 @@
 """The rewrite pass: suggestions in, verified transformed C out.
 
 :func:`rewrite_file` consumes one file's :class:`FileSuggestions` (from
-any serving path — in-process, sharded, daemon).  Fresh suggestions
-carry their file's parse, so the file is not parsed again; only
-suggestions replayed from the store or revived from the wire are
-re-parsed and aligned with the file's outermost loops (the same
-function-by-function walk :func:`repro.suggest.file_requests` uses).
+any serving path — in-process, sharded, daemon) and aligns them, loop
+by loop, with the file's :func:`repro.suggest.file_requests`: the
+loops, their text and their live-out sets that the suggestions were
+computed from.  Fresh suggestions carry those requests with their
+parse, so the file is not parsed again; for suggestions replayed from
+the store or revived from the wire the file is parsed once more.
 For each predicted-parallel loop the pass synthesizes the clause plan
 (:mod:`repro.rewrite.clauses`), verifies it against the interpreter
 (:mod:`repro.rewrite.verify`), and — only on acceptance — attaches the
@@ -38,10 +39,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.cfg.analysis import scalars_read_after
 from repro.cfront import LexError, ParseError, parse_source, unparse
 from repro.cfront.parser import parse_loop
-from repro.dataset.extract import _outermost_loops
 from repro.rewrite.clauses import PlanError, plan_clauses
 from repro.rewrite.verify import (
     DEFAULT_CONFIG,
@@ -51,6 +50,7 @@ from repro.rewrite.verify import (
     verdict_key,
     verify_loop,
 )
+from repro.suggest import file_requests
 
 #: codes of accepted rewrites
 ACCEPT_CODES = ("verified", "unverified")
@@ -132,17 +132,6 @@ class FileRewrite:
         )
 
 
-def _strip_unparse(loop) -> str:
-    """The loop's source without its pragmas — the form suggestions
-    (and the dataset extractor) describe loops in."""
-    saved = loop.pragmas
-    loop.pragmas = []
-    try:
-        return unparse(loop)
-    finally:
-        loop.pragmas = saved
-
-
 def _verdict_for(loop, loop_source: str, plan, config, store,
                  stats: dict | None):
     """The verdict for one planned loop: persistent cache first (keyed
@@ -209,21 +198,6 @@ def rewrite_loop(loop_source: str,
                     stats=stats)
 
 
-def _parsed_requests(file_suggestions, suggestions) -> list | None:
-    """The :class:`~repro.suggest.LoopRequest` behind each suggestion
-    when the suggestions carry the in-process parse they were computed
-    from (``FileSuggestions.parsed``), else ``None``."""
-    parsed = getattr(file_suggestions, "parsed", None)
-    if parsed is None or parsed.tu is None:
-        return None
-    requests = parsed.requests
-    if len(requests) != len(suggestions) or any(
-            r.ast is None or r.source != s.loop_source
-            for r, s in zip(requests, suggestions)):
-        return None
-    return requests
-
-
 def rewrite_file(name: str, source: str, file_suggestions, *,
                  verify: bool = True,
                  config: VerifyConfig | None = None,
@@ -232,12 +206,13 @@ def rewrite_file(name: str, source: str, file_suggestions, *,
 
     ``file_suggestions`` is a
     :class:`~repro.serve.pipeline.FileSuggestions` (or anything with
-    ``suggestions`` / ``error``).  Fresh suggestions carry the parse
-    they were computed from, and each loop and its live-out set come
-    straight from it.  Suggestions replayed from the store or revived
-    from the wire carry none: the file is parsed again and each
-    suggestion aligned with its outermost loop in extraction order,
-    where a mismatch refuses with ``misaligned`` rather than guessing.
+    ``suggestions`` / ``error``).  Each suggestion is aligned with the
+    file's :func:`~repro.suggest.file_requests` in order: those of the
+    parse fresh suggestions carry, or of a new parse for suggestions
+    replayed from the store or revived from the wire.  A count
+    mismatch refuses every loop, and a suggestion that describes
+    another loop's text refuses that loop, with ``misaligned`` rather
+    than guessing.
     The returned ``rewritten_source`` is the whole file with accepted
     pragmas attached — refused and sequential loops keep their original
     text.  A shared parse is left as it came: every pragma attached
@@ -254,58 +229,45 @@ def rewrite_file(name: str, source: str, file_suggestions, *,
                           file_suggestions)
     if error is not None:
         return FileRewrite(name=name, error=error)
-    requests = _parsed_requests(file_suggestions, suggestions)
-    if requests is not None:
-        tu = file_suggestions.parsed.tu
-        loops = [r.ast for r in requests]
+    parsed = getattr(file_suggestions, "parsed", None)
+    if parsed is not None and parsed.tu is not None:
+        tu, requests = parsed.tu, parsed.requests
     else:
         try:
             tu = parse_source(source)
         except (LexError, ParseError) as exc:
             return FileRewrite(name=name, error=str(exc))
-        functions = []
-        loops = []
-        for fn in tu.functions():
-            if fn.body is None:
-                continue
-            for loop in _outermost_loops(fn.body):
-                functions.append(fn)
-                loops.append(loop)
-        if len(loops) != len(suggestions):
-            detail = (f"file has {len(loops)} outermost loops but "
-                      f"{len(suggestions)} suggestions")
-            return FileRewrite(
-                name=name,
-                rewrites=[LoopRewrite(loop_source=s.loop_source,
-                                      accepted=False, code="misaligned",
-                                      detail=detail)
-                          for s in suggestions],
-                rewritten_source=unparse(tu),
-            )
+        requests = file_requests(tu)
+    if len(requests) != len(suggestions):
+        detail = (f"file has {len(requests)} outermost loops but "
+                  f"{len(suggestions)} suggestions")
+        return FileRewrite(
+            name=name,
+            rewrites=[LoopRewrite(loop_source=s.loop_source,
+                                  accepted=False, code="misaligned",
+                                  detail=detail)
+                      for s in suggestions],
+            rewritten_source=unparse(tu),
+        )
     rewrites: list[LoopRewrite] = []
-    saved = [(loop, loop.pragmas) for loop in loops]
+    saved = [(r.ast, r.ast.pragmas) for r in requests]
     try:
-        for k, (loop, suggestion) in enumerate(zip(loops, suggestions)):
+        for request, suggestion in zip(requests, suggestions):
             if not suggestion.parallel:
                 rewrites.append(LoopRewrite(
                     loop_source=suggestion.loop_source, accepted=False,
                     code="not-parallel", detail=suggestion.rationale))
-                continue
-            if requests is None \
-                    and _strip_unparse(loop) != suggestion.loop_source:
+            elif request.source != suggestion.loop_source:
                 rewrites.append(LoopRewrite(
                     loop_source=suggestion.loop_source, accepted=False,
                     code="misaligned",
                     detail="suggestion does not describe the loop at "
                            "this position"))
-                continue
-            live_out = (requests[k].live_out if requests is not None
-                        else frozenset(scalars_read_after(
-                            functions[k].body, loop)))
-            rewrites.append(_attempt(loop, suggestion.loop_source,
-                                     live_out, verify=verify,
-                                     config=config, store=store,
-                                     stats=stats))
+            else:
+                rewrites.append(_attempt(
+                    request.ast, suggestion.loop_source, request.live_out,
+                    verify=verify, config=config, store=store,
+                    stats=stats))
         rewritten_source = unparse(tu)
     finally:
         for loop, pragmas in saved:

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.serve import protocol
+if TYPE_CHECKING:
+    from repro.serve import protocol
 
 #: the job kinds, one per wire request kind
 MODES = ("suggest", "rewrite")
@@ -54,6 +56,8 @@ class Job:
     @classmethod
     def of(cls, request: protocol.SuggestRequest) -> "Job":
         """The job a wire request asks for."""
+        from repro.serve import protocol
+
         if isinstance(request, protocol.RewriteRequest):
             return cls("rewrite", verify=request.verify)
         return cls()
@@ -62,6 +66,8 @@ class Job:
         """This job's wire request; ``fields`` are the ones every
         request kind shares (``sources``/``paths``/``dir``, ``bundle``,
         ``ordered``, ``stream``, ``shards``, ...)."""
+        from repro.serve import protocol
+
         if self.mode == "rewrite":
             return protocol.RewriteRequest(verify=self.verify, **fields)
         return protocol.SuggestRequest(**fields)

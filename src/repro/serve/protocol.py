@@ -50,6 +50,8 @@ import json
 import struct
 from dataclasses import dataclass, field, replace
 
+from repro.serve.store import STORE_LAYERS
+
 #: bump on incompatible changes to any frame shape
 PROTOCOL_VERSION = 1
 
@@ -697,9 +699,6 @@ class BundlePushOk:
 
 #: store operations a :class:`StoreOp` may request
 STORE_OPS = ("get", "put", "gc", "fsck", "describe")
-
-#: store layers addressable over the wire
-STORE_LAYERS = ("parse", "suggest", "verdict")
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,12 @@ from collections import Counter
 from pathlib import Path
 
 from repro.serve import faults
-from repro.serve.protocol import STORE_LAYERS
 
 #: bump when cached payload shapes change incompatibly
 STORE_VERSION = 1
+
+#: the store's layers (also the ones addressable over the wire)
+STORE_LAYERS = ("parse", "suggest", "verdict")
 
 #: the store's counters, in :meth:`SuggestionStore.stats` order
 STORE_COUNTERS = (*(f"{layer}_{outcome}" for layer in STORE_LAYERS

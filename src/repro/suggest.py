@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.cfg.analysis import scalars_read_after
 from repro.cfront import ParseError, parse_source
 from repro.cfront.nodes import Stmt
-from repro.dataset.extract import _outermost_loops, extract_loops_by_function
+from repro.dataset.extract import function_loops
 from repro.dataset.sample import LoopSample
 from repro.pragma.model import PragmaError
 from repro.tools.deps import analyze_loop
@@ -254,30 +254,20 @@ class PragmaSuggester:
 
 def file_requests(tu) -> list[LoopRequest]:
     """Every outermost loop of a parsed C file (its translation unit)
-    as a :class:`LoopRequest`, carrying its already-parsed loop
-    statement so nothing downstream parses it again.
+    as a :class:`LoopRequest`, in the order, and with the text, of
+    :func:`~repro.dataset.extract.function_loops` — the walk the
+    training samples come from.
 
-    Loops are paired with per-function liveness so suggestion paths
-    (single-file and batched serving) share one extraction/alignment
-    rule: when a function's loop count disagrees with its extracted
-    samples, liveness falls back to empty sets for *that function
-    only* — a mismatch must not drop ``lastprivate`` correctness for
-    every other loop in the file.
+    Each request carries its loop's live-out set (scalars read after
+    the loop in its own function, for ``lastprivate``) and its parsed
+    loop statement, so nothing downstream parses it again.
     """
-    requests: list[LoopRequest] = []
-    for fn, samples in extract_loops_by_function(tu):
-        loops = _outermost_loops(fn.body)
-        aligned = len(loops) == len(samples)
-        for i, sample in enumerate(samples):
-            live_out = (
-                frozenset(scalars_read_after(fn.body, loops[i]))
-                if aligned else frozenset()   # defensive: per-function
-            )
-            requests.append(LoopRequest(
-                source=sample.source, live_out=live_out,
-                ast=loops[i] if aligned else None,
-            ))
-    return requests
+    return [
+        LoopRequest(source=source,
+                    live_out=frozenset(scalars_read_after(fn.body, loop)),
+                    ast=loop)
+        for fn, loop, source in function_loops(tu)
+    ]
 
 
 def agreement(suggested: str | None, original: str | None) -> dict:

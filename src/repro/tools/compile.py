@@ -43,6 +43,7 @@ compilation.  ``REPRO_NO_LOOP_COMPILE=1`` disables the whole fast path.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from collections import OrderedDict
 
@@ -307,7 +308,11 @@ class _Codegen:
             return repr(expr.value)
         if isinstance(expr, FloatingLiteral):
             self.tick()
-            return repr(expr.value)
+            value = expr.value
+            if math.isfinite(value):
+                return repr(value)
+            # repr(inf) is no Python expression: bind the value instead
+            return self.bind("c", value)
         if isinstance(expr, CharLiteral):
             self.tick()
             return repr(expr.value)

@@ -50,11 +50,19 @@ class TestNumbers:
     def test_hex_and_octal(self):
         assert kinds("0xFF 0755") == [TokenKind.INT_CONST] * 2
 
+    @pytest.mark.parametrize("text", ["09", "08u", "0x", "0XUL"])
+    def test_malformed_integer_constant_raises(self, text):
+        # refused where they are lexed, so they fail their own file and
+        # never reach a reader of the literal's value
+        with pytest.raises(LexError, match=f"malformed integer constant '{text}'"):
+            tokenize(f"a[i] = {text};")
+
     def test_int_suffixes(self):
         assert kinds("10u 10UL 10ll") == [TokenKind.INT_CONST] * 3
 
     def test_float_forms(self):
-        for text in ["1.5", "1.", ".5", "1e10", "1.5e-3", "2E+4", "1.0f", "3.14F"]:
+        for text in ["1.5", "1.", ".5", "1e10", "1.5e-3", "2E+4", "1.0f", "3.14F",
+                     "09.5", "09e1"]:
             toks = tokenize(text)
             assert toks[0].kind is TokenKind.FLOAT_CONST, text
 

@@ -26,6 +26,13 @@ class TestLiterals:
     def test_int_value_hex(self):
         assert IntegerLiteral(text="0xFF").value == 255
 
+    def test_int_value_octal(self):
+        # C reads a leading zero as octal; Python's int(text, 0)
+        # refuses it outright
+        assert [IntegerLiteral(text=t).value
+                for t in ("010", "0644", "077L", "0777u", "0", "00")] \
+            == [8, 420, 63, 511, 0, 0]
+
     def test_int_value_suffixes(self):
         assert IntegerLiteral(text="10UL").value == 10
         assert IntegerLiteral(text="7u").value == 7

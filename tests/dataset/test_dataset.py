@@ -1,8 +1,10 @@
 """Tests for extraction, synthetic generation, corpus assembly, OMPSerial."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.cfront import parse_source
+from repro.cfront import parse_source, unparse
 from repro.dataset import (
     CorpusGenerator,
     DatasetConfig,
@@ -13,8 +15,13 @@ from repro.dataset import (
     load_jsonl,
     save_jsonl,
 )
+from repro.dataset.benchsuite import BENCHMARK_PROGRAMS
+from repro.dataset.extract import function_loops
 from repro.dataset.oracle import oracle_parallel
 from repro.dataset.sample import LoopSample
+from repro.suggest import file_requests
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "corpus"
 
 
 class TestExtraction:
@@ -73,6 +80,28 @@ class TestExtraction:
         )
         assert all(s.file_meta == {"has_main": True} for s in samples)
         assert all(s.file_id == 7 for s in samples)
+
+    def test_walk_leaves_the_unit_as_it_was(self):
+        tu = parse_source(self.SOURCE)
+        before = unparse(tu)
+        sources = [source for _, _, source in function_loops(tu)]
+        assert unparse(tu) == before
+        assert len(sources) == 2 and "#pragma" not in sources[0]
+
+
+def test_served_loops_are_the_training_loops():
+    """Training samples and served requests come from one walk: the
+    same loops of a file, in the same order, with the same text."""
+    _, files = CorpusGenerator(seed=29).generate(scale=0.006)
+    sources = ([f.source for f in files]
+               + [source for _, source, _ in BENCHMARK_PROGRAMS]
+               + [p.read_text() for p in sorted(EXAMPLES.glob("*.c"))])
+    served = [[r.source for r in file_requests(parse_source(source))]
+              for source in sources]
+    trained = [[s.source for s in extract_loops_from_source(source)]
+               for source in sources]
+    assert served == trained
+    assert sum(map(len, served)) > len(sources)
 
 
 class TestSyntheticGenerator:

@@ -278,3 +278,38 @@ class TestSuggestionService:
     def test_n_parallel_property(self):
         fs = FileSuggestions(name="x.c")
         assert fs.n_parallel == 0
+
+
+class TestIntegerConstants:
+    """C reads a leading-zero constant as octal.  It is a value for
+    every layer (aug-AST encode, the verifier's interpreter and loop
+    compiler), and a malformed one (``09``) is a frontend error of its
+    own file: neither may take the rest of a round down with it."""
+
+    OCTAL = ("int mode[8];\nvoid perms(void) {\n    int i;\n"
+             "    for (i = 0; i < 8; i++) mode[i] = 0644 | 010;\n}\n")
+    MALFORMED = ("double m[9];\nvoid bad(void) {\n    int i;\n"
+                 "    for (i = 0; i < 9; i++) m[i] = 09;\n}\n")
+
+    @pytest.mark.parametrize("job,results", [(SUGGEST, "suggestions"),
+                                             (REWRITE, "rewrites")],
+                             ids=["suggest", "rewrite"])
+    def test_bad_constant_fails_only_its_own_file(self, job, results):
+        good = [("a.c", GOOD_SOURCE), ("b.c", OTHER_SOURCE)]
+
+        def serve(named) -> dict:
+            vocab = _vocab()
+            service = SuggestionService(
+                _FakeTrained(1, vocab), {"private": _FakeTrained(0, vocab)})
+            return {named[i][0]: result.to_payload()
+                    for i, result in job.run(service, named)}
+
+        alone = serve(good)
+        mixed = serve([good[0], ("octal.c", self.OCTAL),
+                       ("malformed.c", self.MALFORMED), good[1]])
+        assert {name: mixed[name] for name in alone} == alone
+        assert "malformed integer constant '09'" in mixed["malformed.c"]["error"]
+        octal = mixed["octal.c"]
+        assert octal["error"] is None and len(octal[results]) == 1
+        if job is REWRITE:
+            assert octal["rewrites"][0]["code"] == "verified"

@@ -22,9 +22,11 @@ SERVING = ("import repro.artifacts\n"
 
 #: never run by serving, so never loaded by it: the CFG dominator
 #: helpers' graph library, the corpus generators' templates, the
-#: daemon's event loop, and the paper's experiment harness
+#: daemon's event loop and wire frames, and the paper's experiment
+#: harness
 NOT_SERVED = (
     "networkx", "jinja2", "asyncio", "repro.serve.server",
+    "repro.serve.protocol",
     *(f"repro.dataset.{name}" for name in (
         "synth", "corpus", "recipes", "omp_serial", "benchsuite")),
     *(f"repro.eval.{name}" for name in (

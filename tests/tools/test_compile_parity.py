@@ -207,6 +207,25 @@ def test_reference_falls_back_from_the_prepared_state(monkeypatch):
     assert stats["interpreted_runs"] > 0
 
 
+@pytest.mark.parametrize("body", [
+    "for (i = 0; i < n; i++) a[i] = 1e400;",
+    "for (i = 0; i < n; i++) a[i] = -1e400 * b[i];",
+])
+def test_overflowing_float_constant_parity(body):
+    """A float constant that overflows to infinity runs compiled (its
+    ``repr``, ``inf``, is no Python expression, so the body binds the
+    value) and gets the tree-walker's verdict."""
+    loop = parse_loop(body)
+    stats = {}
+    got = verify_loop(loop, plan_clauses(loop, frozenset()),
+                      VerifyConfig(compiled=True), stats=stats)
+    loop2 = parse_loop(body)
+    want = verify_loop(loop2, plan_clauses(loop2, frozenset()),
+                       VerifyConfig(compiled=False))
+    assert got == want
+    assert stats["compiled_runs"] > 0
+
+
 @pytest.mark.parametrize("max_steps", [MAX_STEPS, 50, 200, 1000])
 @pytest.mark.parametrize("category,seed",
                          [(c, s) for c in CATEGORIES for s in range(3)])
